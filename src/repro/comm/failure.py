@@ -7,13 +7,16 @@ deadline, a missed deadline marks the silent rank suspected-dead, and the
 survivors abort the operation with a structured error instead of waiting.
 
 :class:`FailureDetector` reproduces that protocol deterministically.  It
-wraps any communicator (typically a rank-fault injector from
-:mod:`repro.resilience.rank_faults`) and guards every multi-rank operation:
+is an interceptor of a :class:`~repro.comm.SimCommunicator` chain
+(typically in front of a rank-fault injector from
+:mod:`repro.resilience.rank_faults`:
+``make_rank_fault("crash", topo, interceptors=[FailureDetector()])``) and
+guards every multi-rank operation:
 
-1. the inner communicator executes the op and — when it is a fault
-   injector — reports each participant's simulated response delay
-   (:class:`OpTiming`); a plain communicator reports nothing and every
-   rank is assumed to answer in :data:`NOMINAL_OP_S`;
+1. the rest of the chain executes the op and — when a rank fault is
+   installed — reports each participant's simulated response delay
+   (:class:`OpTiming`) on the op context; otherwise every rank is
+   assumed to answer in :data:`NOMINAL_OP_S`;
 2. ranks that answer within the current lease advance the
    :class:`SimClock` and the op completes;
 3. a rank that reports *no* response (``inf`` delay) is declared dead:
@@ -41,12 +44,9 @@ make up, so chaos runs are bit-for-bit reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
-from repro.comm.traffic import TrafficLog
 from repro.obs.metrics import get_registry
 from repro.obs.tracer import trace_span
-from repro.topology import ClusterTopology
 
 __all__ = [
     "NOMINAL_OP_S",
@@ -165,25 +165,22 @@ class RankFailure(RuntimeError):
 
 
 class FailureDetector:
-    """Lease-guarded communicator wrapper; raises instead of deadlocking.
+    """Lease-guard interceptor; raises instead of deadlocking.
 
-    Duck-types the full :class:`~repro.comm.SimCommunicator` API.  Every
-    multi-rank op is guarded; attribute access not intercepted here
-    (``log``, helpers, …) passes through to the wrapped ``inner``
-    communicator.  Compose freely: a
-    :class:`~repro.resilience.comm.ResilientCommunicator` can wrap a
-    detector that wraps a fault injector, layering message-level and
-    rank-level recovery.
+    Guards every op of the :class:`~repro.comm.SimCommunicator` chain it
+    is installed in, reading the :class:`OpTiming` a rank fault further in
+    writes to the op context.  Stacks with message-level recovery: in
+    ``interceptors=[ChecksumRetry(), FailureDetector()]`` every retry is
+    lease-guarded (the clock and :attr:`call_index` advance per attempt);
+    in ``[FailureDetector(), ChecksumRetry()]`` they advance once per op.
     """
 
     def __init__(
         self,
-        inner,
         *,
         lease: LeaseConfig | None = None,
         clock: SimClock | None = None,
     ):
-        self.inner = inner
         self.lease = lease if lease is not None else LeaseConfig()
         self.clock = clock if clock is not None else SimClock()
         self.call_index = 0
@@ -193,29 +190,9 @@ class FailureDetector:
         #: tolerated-straggler events ``(rank, op, extensions_now)``
         self.tolerated: list[tuple[int, str, int]] = []
 
-    @property
-    def topology(self) -> ClusterTopology:
-        return self.inner.topology
-
-    @property
-    def log(self) -> TrafficLog:
-        return self.inner.log
-
-    @property
-    def world_size(self) -> int:
-        return self.inner.world_size
-
-    def __getattr__(self, name: str):
-        return getattr(self.inner, name)
-
-    # --- step bookkeeping ---------------------------------------------------
-
     def on_step_start(self, step: int) -> None:
         """Trainer hook: label subsequent failures with the step number."""
         self.step = step
-        forward = getattr(self.inner, "on_step_start", None)
-        if forward is not None:
-            forward(step)
 
     # --- the lease guard ----------------------------------------------------
 
@@ -251,19 +228,16 @@ class FailureDetector:
             call_index=self.call_index,
         )
 
-    def _guard(
-        self, op: str, phase: str, participants: Sequence[int], issue,
-        channel: str = "fwd",
-    ):
+    def intercept(self, ctx, proceed):
         """Issue the op, then apply the lease protocol to its timing."""
         self.call_index += 1
-        out = issue()
-        taker = getattr(self.inner, "pop_op_timing", None)
-        timing: OpTiming | None = taker() if taker is not None else None
+        out = proceed()
+        timing: OpTiming | None = ctx.timing
         if timing is None:
             self.clock.advance(NOMINAL_OP_S)
             return out
-        members = set(participants)
+        op, phase, channel = ctx.op, ctx.phase, ctx.channel
+        members = set(ctx.participants)
         completion = NOMINAL_OP_S
         slowest: int | None = None
         for rank, delay in sorted(timing.delays.items()):
@@ -313,72 +287,3 @@ class FailureDetector:
                 pass
         self.clock.advance(completion)
         return out
-
-    # --- guarded communicator API -------------------------------------------
-
-    def ring_shift(self, bufs, ring, *, phase, tag="", reverse=False):
-        return self._guard(
-            "ring_shift", phase, list(ring),
-            lambda: self.inner.ring_shift(
-                bufs, ring, phase=phase, tag=tag, reverse=reverse
-            ),
-            "rev" if reverse else "fwd",
-        )
-
-    def exchange(self, bufs, dest_of, *, phase, tag="", channel="fwd"):
-        return self._guard(
-            "exchange", phase, range(self.world_size),
-            lambda: self.inner.exchange(
-                bufs, dest_of, phase=phase, tag=tag, channel=channel
-            ),
-            channel,
-        )
-
-    def all_to_all(self, chunks, *, phase, tag=""):
-        return self._guard(
-            "all_to_all", phase, range(self.world_size),
-            lambda: self.inner.all_to_all(chunks, phase=phase, tag=tag),
-        )
-
-    def group_all_to_all(self, chunks, groups, *, phase, tag=""):
-        members = [r for grp in groups for r in grp]
-        return self._guard(
-            "group_all_to_all", phase, members,
-            lambda: self.inner.group_all_to_all(
-                chunks, groups, phase=phase, tag=tag
-            ),
-        )
-
-    def send(self, src, dst, payload, *, phase, tag=""):
-        return self._guard(
-            "send", phase, (src, dst),
-            lambda: self.inner.send(src, dst, payload, phase=phase, tag=tag),
-        )
-
-    def all_gather(self, shards, *, axis=0, phase, tag=""):
-        return self._guard(
-            "all_gather", phase, range(self.world_size),
-            lambda: self.inner.all_gather(
-                shards, axis=axis, phase=phase, tag=tag
-            ),
-        )
-
-    def reduce_scatter(self, contributions, *, phase, tag=""):
-        return self._guard(
-            "reduce_scatter", phase, range(self.world_size),
-            lambda: self.inner.reduce_scatter(
-                contributions, phase=phase, tag=tag
-            ),
-        )
-
-    def all_reduce(self, bufs, *, phase, tag=""):
-        return self._guard(
-            "all_reduce", phase, range(self.world_size),
-            lambda: self.inner.all_reduce(bufs, phase=phase, tag=tag),
-        )
-
-    def broadcast(self, buf, root, *, phase, tag=""):
-        return self._guard(
-            "broadcast", phase, range(self.world_size),
-            lambda: self.inner.broadcast(buf, root, phase=phase, tag=tag),
-        )

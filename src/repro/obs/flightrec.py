@@ -135,9 +135,9 @@ class FlightRecorder:
         """Write a ``postmortem/v1`` bundle; returns its path.
 
         ``reason`` describes why the dump happened (must carry at least a
-        ``kind``); ``detector`` is an optional
-        :class:`~repro.comm.failure.FailureDetector` whose lease state is
-        embedded.  Derived bundle flavours (``oom/v1``) pass their own
+        ``kind``); ``detector`` is the
+        :class:`~repro.comm.failure.FailureDetector` interceptor that
+        declared a rank dead, whose lease state is embedded.  Derived bundle flavours (``oom/v1``) pass their own
         ``schema`` tag plus ``extra`` top-level blocks; everything else —
         ring buffer, metrics snapshot, critical path, validation — is
         shared machinery.
@@ -183,21 +183,18 @@ def _lease_state(detector: Any) -> dict[str, Any] | None:
     """Serialise a failure detector's lease protocol state, if any."""
     if detector is None:
         return None
-    lease = getattr(detector, "lease", None)
-    clock = getattr(detector, "clock", None)
+    lease = detector.lease
     return {
-        "sim_time_s": getattr(clock, "now", None),
-        "step": getattr(detector, "step", None),
-        "call_index": getattr(detector, "call_index", None),
-        "extensions": dict(getattr(detector, "extensions", {}) or {}),
-        "tolerated": [
-            list(t) for t in getattr(detector, "tolerated", []) or []
-        ],
+        "sim_time_s": detector.clock.now,
+        "step": detector.step,
+        "call_index": detector.call_index,
+        "extensions": dict(detector.extensions),
+        "tolerated": [list(t) for t in detector.tolerated],
         "config": {
-            "op_deadline_s": getattr(lease, "op_deadline_s", None),
-            "escalation_factor": getattr(lease, "escalation_factor", None),
-            "max_extensions": getattr(lease, "max_extensions", None),
-            "crash_notice_s": getattr(lease, "crash_notice_s", None),
+            "op_deadline_s": lease.op_deadline_s,
+            "escalation_factor": lease.escalation_factor,
+            "max_extensions": lease.max_extensions,
+            "crash_notice_s": lease.crash_notice_s,
         },
     }
 
@@ -213,7 +210,8 @@ def notify_failure(
     """Dump a post-mortem through the active recorder, if one is installed.
 
     Called by ``CommFailure`` / ``RankFailure`` raise sites right before
-    they raise; returns the bundle path or ``None`` (no recorder — the
+    they raise (the detector interceptor passes itself as ``detector``);
+    returns the bundle path or ``None`` (no recorder — the
     default, costing one list check).
     """
     rec = get_active_recorder()

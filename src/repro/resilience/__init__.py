@@ -5,8 +5,8 @@ a run *survives to completion*: one flipped payload or lost hop wastes
 hours of wall-clock.  This package makes the stack survive exactly the
 fault classes :mod:`repro.testing.faults` knows how to inject:
 
-* :mod:`repro.resilience.comm` — :class:`ResilientCommunicator` wraps any
-  :class:`~repro.comm.SimCommunicator`, checksums every delivery
+* :mod:`repro.resilience.comm` — :class:`ChecksumRetry`, an interceptor
+  for any :class:`~repro.comm.SimCommunicator` chain, checksums every delivery
   (``ring_shift`` / ``exchange`` / ``all_to_all`` / ``group_all_to_all`` /
   ``send``), detects corrupt / dropped / misrouted / stale / duplicate
   deliveries, and recovers via bounded retransmission with deterministic
@@ -26,11 +26,11 @@ fault classes :mod:`repro.testing.faults` knows how to inject:
 """
 
 from repro.resilience.comm import (
+    ChecksumRetry,
     CommFailure,
     FaultEscalation,
     FaultEvent,
     FaultMonitor,
-    ResilientCommunicator,
     RetryPolicy,
     tree_checksum,
 )
@@ -79,11 +79,11 @@ def __getattr__(name):
 
 
 __all__ = [
+    "ChecksumRetry",
     "CommFailure",
     "FaultEscalation",
     "FaultEvent",
     "FaultMonitor",
-    "ResilientCommunicator",
     "RetryPolicy",
     "tree_checksum",
     "RANK_FAULT_REGISTRY",

@@ -1,7 +1,7 @@
 """Chaos-recovery runner: prove the stack survives injected faults.
 
 Composes the PR-1 fault injectors (:mod:`repro.testing.faults`) with the
-recovery layer (:class:`~repro.resilience.ResilientCommunicator` +
+recovery layer (the :class:`~repro.resilience.ChecksumRetry` interceptor +
 checkpoint-restart) over *seeded* schedules of mid-run faults:
 
 * **fault scenarios** — each draws a fault class, strike call index and
@@ -38,7 +38,7 @@ from repro.comm import FailureDetector, SimCommunicator
 from repro.engine import BurstEngine, EngineConfig, Trainer
 from repro.nn import TransformerConfig
 from repro.nn.rng import set_seed
-from repro.resilience.comm import FaultMonitor, ResilientCommunicator
+from repro.resilience.comm import ChecksumRetry, FaultMonitor
 from repro.resilience.elastic import ElasticRunner
 from repro.resilience.rank_faults import make_rank_fault
 from repro.testing.faults import FAULT_REGISTRY, make_fault
@@ -196,15 +196,14 @@ def run_fault_scenarios(
         # one (one seed exchange per pass on a 4-GPU ring), so rev strikes
         # draw from a window every scenario is guaranteed to reach.
         at_call = int(rng.integers(1, 5 if channel == "rev" else 10))
+        monitor = FaultMonitor()
         fault = make_fault(
             name, _topology(), at_call=at_call, victim=victim,
-            channel=channel,
+            channel=channel, interceptors=[ChecksumRetry(monitor=monitor)],
         )
-        monitor = FaultMonitor()
-        comm = ResilientCommunicator(fault, monitor=monitor)
         set_seed(0)
         trainer = Trainer(
-            _make_engine(method, comm=comm, ring_mode=ring_mode),
+            _make_engine(method, comm=fault, ring_mode=ring_mode),
             clip_norm=1.0,
         )
         trainer.fit(batches, steps)
@@ -418,19 +417,20 @@ def run_rank_fault_scenario(
     """
     config = _make_elastic_config(method, ring_mode)
     batches = _make_batches(seed=0, seq=ELASTIC_SEQ)
-    comms: list[FailureDetector] = []
+    comms: list[SimCommunicator] = []
 
     def comm_factory(topo, incarnation):
+        interceptors = [FailureDetector()]
         if incarnation == 0:
             kwargs = dict(rank=victim, at_step=fail_step, at_call=1)
             if kind == "straggler":
                 kwargs["slowdown_factor"] = FATAL_SLOWDOWN
-            inner = make_rank_fault(kind, topo, **kwargs)
+            comm = make_rank_fault(kind, topo, interceptors=interceptors,
+                                   **kwargs)
         else:
-            inner = SimCommunicator(topo)
-        detector = FailureDetector(inner)
-        comms.append(detector)
-        return detector
+            comm = SimCommunicator(topo, interceptors=interceptors)
+        comms.append(comm)
+        return comm
 
     recorder = None
     if postmortem_dir is not None:
@@ -472,7 +472,9 @@ def run_rank_fault_scenario(
         if record is not None and record.resume_path is not None:
             # Ground truth: a fresh process on the survivor topology,
             # resumed from the very snapshot the elastic run replayed.
-            fresh_comm = FailureDetector(SimCommunicator(result.topology))
+            fresh_comm = SimCommunicator(
+                result.topology, interceptors=[FailureDetector()]
+            )
             set_seed(seed)
             fresh = Trainer(BurstEngine(config, comm=fresh_comm), clip_norm=1.0)
             fresh.fit(batches, steps, resume_from=record.resume_path)

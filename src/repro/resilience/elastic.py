@@ -191,10 +191,11 @@ class ElasticRunner:
         Directory for the rotated :class:`SnapshotStore`.
     comm_factory:
         ``(topology, incarnation) -> communicator`` — defaults to a
-        :class:`~repro.comm.FailureDetector` over a plain
-        :class:`~repro.comm.SimCommunicator`.  Chaos scenarios return a
-        detector over a rank-fault injector for incarnation 0 and a clean
-        detector afterwards (the dead rank stays gone).
+        plain :class:`~repro.comm.SimCommunicator` with a
+        :class:`~repro.comm.FailureDetector` interceptor.  Chaos scenarios
+        return a rank-fault injector behind a detector for incarnation 0
+        and a clean detected communicator afterwards (the dead rank stays
+        gone).
     trainer_factory:
         ``(engine) -> Trainer`` for custom schedules / clipping; the
         runner chains its snapshot hook after any ``on_step_end`` the
@@ -230,7 +231,9 @@ class ElasticRunner:
         self.max_failures = max_failures
 
     def _default_comm(self, topology: ClusterTopology, incarnation: int):
-        return FailureDetector(SimCommunicator(topology), lease=self.lease)
+        return SimCommunicator(
+            topology, interceptors=[FailureDetector(lease=self.lease)]
+        )
 
     def _make_trainer(self, engine):
         if self.trainer_factory is not None:
@@ -279,8 +282,9 @@ class ElasticRunner:
                 result.history = list(trainer.history)
                 result.incarnations = incarnation + 1
                 result.topology = topology
-                if isinstance(comm, FailureDetector):
-                    result.tolerated_stragglers = list(comm.tolerated)
+                for icpt in comm.interceptors:
+                    if isinstance(icpt, FailureDetector):
+                        result.tolerated_stragglers = list(icpt.tolerated)
                 return result
             except RankFailure as failure:
                 if len(result.failures) >= self.max_failures:

@@ -1,14 +1,16 @@
 """Rank-scoped fault injectors: crash, hang, and straggler on tap.
 
-The PR-1 injectors (:mod:`repro.testing.faults`) damage *messages*; the
+The message injectors (:mod:`repro.testing.faults`) damage *messages*; the
 classes here kill or slow down *ranks* — the dominant availability risk of
-month-long multi-node runs.  Each wraps :class:`~repro.comm.SimCommunicator`
-and shares the PR-1 targeting model (``op`` / ``phase`` / ``tag`` substring
-filters, 1-based ``at_call``, plus a rank-level ``at_step`` trigger fed by
-the trainer's ``on_step_start`` notification).  Once triggered the victim
-``rank`` is failed *permanently* — a crashed process does not come back —
-and every subsequent operation it participates in reports the failure
-through an :class:`~repro.comm.OpTiming` record:
+month-long multi-node runs.  Each is a :class:`~repro.comm.SimCommunicator`
+that runs as the innermost interceptor of its own chain and shares the
+message faults' targeting predicate
+(:class:`~repro.comm.communicator.TargetedFault`: ``op`` / ``phase`` /
+``tag`` filters and a 1-based ``at_call``, over all nine ops), plus a
+rank-level ``at_step`` trigger fed by the trainer's ``on_step_start``
+notification.  Once triggered the victim ``rank`` is failed *permanently*
+— a crashed process does not come back — and every subsequent operation
+reports the failure as the op context's :class:`~repro.comm.OpTiming`:
 
 ===========================  =================================================
 :class:`CrashRankComm`       the rank's process dies: no response, ever
@@ -23,16 +25,19 @@ through an :class:`~repro.comm.OpTiming` record:
                              extreme ones get the rank declared dead
 ===========================  =================================================
 
-Numerics are untouched: a :class:`~repro.comm.FailureDetector` wrapping the
-injector raises :class:`~repro.comm.RankFailure` before a dead rank's data
-is ever consumed, exactly as survivors abort a collective in a real
-elastic runtime.  Without a detector the injected failures are invisible —
-which is the deadlock these classes exist to prove the detector prevents.
+Numerics are untouched: a :class:`~repro.comm.FailureDetector` stacked on
+the injector (``make_rank_fault("crash", topo,
+interceptors=[FailureDetector()])``) raises
+:class:`~repro.comm.RankFailure` before a dead rank's data is ever
+consumed, exactly as survivors abort a collective in a real elastic
+runtime.  Without a detector the injected failures are invisible — which
+is the deadlock these classes exist to prove the detector prevents.
 """
 
 from __future__ import annotations
 
-from repro.comm import NOMINAL_OP_S, OpTiming, SimCommunicator
+from repro.comm import NOMINAL_OP_S, OpTiming
+from repro.comm.communicator import TargetedFault
 from repro.topology import ClusterTopology
 
 __all__ = [
@@ -45,18 +50,16 @@ __all__ = [
 ]
 
 
-class RankFaultComm(SimCommunicator):
+class RankFaultComm(TargetedFault):
     """Base class: fails one rank when the targeting filters first match.
 
     Parameters
     ----------
     rank:
         The global rank to fail.
-    phase, tag, op:
-        Substring filters on the operation labels (``None`` = match all).
-    at_call:
-        1-based index of the matching call that triggers the failure;
-        ``None`` triggers on the first match.
+    phase, tag, op, at_call, interceptors:
+        As for :class:`~repro.comm.communicator.TargetedFault`; with
+        ``at_call=None`` the first match triggers.
     at_step:
         Training step the failure is confined to (requires the caller to
         forward ``on_step_start``); ``None`` means any step.
@@ -76,123 +79,44 @@ class RankFaultComm(SimCommunicator):
         at_call: int | None = 1,
         at_step: int | None = None,
         log=None,
+        interceptors=(),
     ):
-        super().__init__(topology, log=log)
         if not 0 <= rank < topology.world_size:
             raise ValueError(
                 f"victim rank {rank} out of range [0, {topology.world_size})"
             )
+        super().__init__(topology, phase=phase, tag=tag, op=op,
+                         at_call=at_call, log=log, interceptors=interceptors)
         self.rank = rank
-        self.target_phase = phase
-        self.target_tag = tag
-        self.target_op = op
-        self.at_call = at_call
         self.at_step = at_step
         self.current_step = -1
-        self.calls_matched = 0
-        self.injections = 0
         self.failed = False
-        self._timing: OpTiming | None = None
 
-    def describe(self) -> str:
-        filters = ", ".join(
-            f"{k}={v!r}" for k, v in [
-                ("rank", self.rank), ("phase", self.target_phase),
-                ("tag", self.target_tag), ("op", self.target_op),
-                ("at_call", self.at_call), ("at_step", self.at_step),
-            ] if v is not None
-        )
-        return f"{self.fault_name}({filters})"
-
-    # --- trainer hook -------------------------------------------------------
+    def _describe_fields(self) -> list[tuple[str, object]]:
+        return [("rank", self.rank), *super()._describe_fields(),
+                ("at_step", self.at_step)]
 
     def on_step_start(self, step: int) -> None:
         self.current_step = step
-
-    # --- targeting ----------------------------------------------------------
-
-    def _maybe_trigger(self, op: str, phase: str, tag: str) -> None:
-        if self.failed:
-            return
-        if self.target_op is not None and self.target_op != op:
-            return
-        if self.target_phase is not None and self.target_phase not in phase:
-            return
-        if self.target_tag is not None and self.target_tag not in tag:
-            return
-        if self.at_step is not None and self.current_step != self.at_step:
-            return
-        self.calls_matched += 1
-        if self.at_call is None or self.calls_matched >= self.at_call:
-            self.failed = True
-            self.injections += 1
+        super().on_step_start(step)
 
     def _victim_delay(self) -> float:
         """Response delay of the failed rank (``inf`` = never answers)."""
         return float("inf")
 
-    def _after_op(self, op: str, phase: str, tag: str) -> None:
-        self._maybe_trigger(op, phase, tag)
+    def intercept(self, ctx, proceed):
+        out = proceed()
+        if (
+            not self.failed
+            and (self.at_step is None or self.current_step == self.at_step)
+            and self._strikes(ctx)
+        ):
+            self.failed = True
         if self.failed:
-            self._timing = OpTiming(
+            ctx.timing = OpTiming(
                 delays={self.rank: self._victim_delay()},
                 kinds={self.rank: self.kind},
             )
-        else:
-            self._timing = OpTiming(delays={}, kinds={})
-
-    def pop_op_timing(self) -> OpTiming | None:
-        """Detector hook: timing of the most recent op (consumed once)."""
-        timing, self._timing = self._timing, None
-        return timing
-
-    # --- instrumented ops ---------------------------------------------------
-
-    def ring_shift(self, bufs, ring, *, phase, tag="", reverse=False):
-        out = super().ring_shift(bufs, ring, phase=phase, tag=tag,
-                                 reverse=reverse)
-        self._after_op("ring_shift", phase, tag)
-        return out
-
-    def exchange(self, bufs, dest_of, *, phase, tag="", channel="fwd"):
-        out = super().exchange(bufs, dest_of, phase=phase, tag=tag,
-                               channel=channel)
-        self._after_op("exchange", phase, tag)
-        return out
-
-    def all_to_all(self, chunks, *, phase, tag=""):
-        out = super().all_to_all(chunks, phase=phase, tag=tag)
-        self._after_op("all_to_all", phase, tag)
-        return out
-
-    def group_all_to_all(self, chunks, groups, *, phase, tag=""):
-        out = super().group_all_to_all(chunks, groups, phase=phase, tag=tag)
-        self._after_op("group_all_to_all", phase, tag)
-        return out
-
-    def send(self, src, dst, payload, *, phase, tag=""):
-        out = super().send(src, dst, payload, phase=phase, tag=tag)
-        self._after_op("send", phase, tag)
-        return out
-
-    def all_gather(self, shards, *, axis=0, phase, tag=""):
-        out = super().all_gather(shards, axis=axis, phase=phase, tag=tag)
-        self._after_op("all_gather", phase, tag)
-        return out
-
-    def reduce_scatter(self, contributions, *, phase, tag=""):
-        out = super().reduce_scatter(contributions, phase=phase, tag=tag)
-        self._after_op("reduce_scatter", phase, tag)
-        return out
-
-    def all_reduce(self, bufs, *, phase, tag=""):
-        out = super().all_reduce(bufs, phase=phase, tag=tag)
-        self._after_op("all_reduce", phase, tag)
-        return out
-
-    def broadcast(self, buf, root, *, phase, tag=""):
-        out = super().broadcast(buf, root, phase=phase, tag=tag)
-        self._after_op("broadcast", phase, tag)
         return out
 
 

@@ -7,7 +7,7 @@ must agree with the dense reference bit-for-nearly-bit.  This package
 makes those claims *defensible under refactoring*:
 
 * :mod:`repro.testing.faults` — configurable fault-injecting
-  :class:`~repro.comm.SimCommunicator` wrappers (corrupt / drop /
+  :class:`~repro.comm.SimCommunicator` subclasses (corrupt / drop /
   misroute / stale / duplicate), targetable at any collective of any
   method by phase, tag, op, and call index.
 * :mod:`repro.testing.differential` — a seeded differential fuzzer that

@@ -18,7 +18,7 @@ which replays exactly that configuration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -137,6 +137,13 @@ class FuzzCase:
                 kw[key] = int(value)
             else:
                 raise ValueError(f"unknown case key {key!r}")
+        missing = [
+            f.name for f in fields(cls)
+            if f.default is MISSING and f.default_factory is MISSING
+            and f.name not in kw
+        ]
+        if missing:
+            raise ValueError(f"case spec is missing {', '.join(missing)}")
         return cls(**kw)
 
     def validate(self) -> None:
@@ -241,7 +248,7 @@ def check_case(
     counts as a failure — a fuzzer must never hide crashes.
 
     With ``case.rank_failure`` set, the case runs over a
-    :class:`~repro.comm.FailureDetector` wrapping the matching rank-fault
+    :class:`~repro.comm.FailureDetector` in front of the matching rank-fault
     injector (victim rank 0, first call): ``crash`` / ``hang`` cases pass
     iff detection raises :class:`~repro.comm.RankFailure` — a silent
     completion means the detector missed a dead rank — while ``straggler``
@@ -263,9 +270,8 @@ def check_case(
         topo = make_cluster(
             case.world_size, node=a800_node(gpus_per_node=case.gpn)
         )
-        comm = FailureDetector(
-            make_rank_fault(case.rank_failure, topo, rank=0, at_call=1)
-        )
+        comm = make_rank_fault(case.rank_failure, topo, rank=0, at_call=1,
+                               interceptors=[FailureDetector()])
     expect_detection = case.rank_failure in ("crash", "hang")
     try:
         with kernel_backend(case.backend):

@@ -1,7 +1,7 @@
 """Fault-injecting communicators: realistic distributed-systems bugs on tap.
 
 A reproduction's tests are only as good as their ability to *fail*.  Each
-class here wraps :class:`~repro.comm.SimCommunicator` and sabotages the
+class here is a :class:`~repro.comm.SimCommunicator` that sabotages the
 delivery of one (or every) matching transfer; the meta-tests then assert
 that :func:`repro.attention.verify.verify_method` catches the damage for
 every method in the registry, and the differential fuzzer uses the same
@@ -9,17 +9,21 @@ classes to prove it reports (and shrinks) injected failures.
 
 Targeting
 ---------
-All faults share one targeting model: a delivery op is *matched* when its
-``op`` name (``ring_shift`` / ``exchange`` / ``all_to_all`` /
-``group_all_to_all`` / ``send``), ``phase`` and ``tag`` each contain the
-configured filter (``None`` matches anything), and the fault fires on the
-``at_call``-th matching call (1-based; ``None`` fires on every match).  So
+Only the delivery ops (:data:`~repro.comm.communicator.DELIVERY_OPS`:
+``ring_shift`` / ``exchange`` / ``all_to_all`` / ``group_all_to_all`` /
+``send``) are candidates; :class:`~repro.comm.communicator.TargetedFault`
+documents the filters (``phase`` / ``tag`` substrings, exact ``op`` /
+``channel``, 1-based ``at_call``).  So
 
 * ``CorruptPayloadComm(topo)`` — corrupt the very first transfer of the run;
 * ``CorruptPayloadComm(topo, phase="attn-bwd", at_call=1)`` — corrupt the
   first backward transfer only, leaving the forward clean;
 * ``DropTransferComm(topo, op="exchange", tag="return")`` — lose the
   gradient-return message of Algorithms 1/2.
+
+Each fault runs as the innermost interceptor of its own chain, so recovery
+layers stack on top of it:
+``make_fault("corrupt", topo, interceptors=[ChecksumRetry()])``.
 
 The fault models
 ----------------
@@ -36,11 +40,9 @@ The fault models
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
-from repro.comm import SimCommunicator
+from repro.comm.communicator import DELIVERY_OPS, TargetedFault
 from repro.topology import ClusterTopology
 from repro.utils.pytree import tree_map
 
@@ -58,78 +60,21 @@ def _copy_tree(tree: object) -> object:
     return tree_map(np.copy, tree)
 
 
-class FaultInjectingCommunicator(SimCommunicator):
-    """Base class: intercepts every delivery op and lets a subclass damage
-    the received buffers when the targeting filters match.
+class FaultInjectingCommunicator(TargetedFault):
+    """Base class: lets a subclass damage the received buffers of the
+    targeted delivery op (the base itself only counts matches).
 
-    Parameters
-    ----------
-    phase, tag, op:
-        Substring filters on the transfer labels (``None`` = match all).
-    channel:
-        Exact-match filter on the ring direction (``"fwd"`` / ``"rev"``);
-        ``None`` matches both.  ``channel="rev"`` aims a fault at the
-        counter-rotating stream of a bidirectional ring.
-    at_call:
-        1-based index of the matching call to sabotage; ``None`` hits every
-        matching call.
-    victim:
-        For per-rank faults (corrupt / drop / duplicate on collective
-        deliveries): index of the delivered entry to damage.
+    ``victim`` is, for per-rank faults (corrupt / drop / duplicate on list
+    deliveries), the index of the delivered entry to damage.  The other
+    keywords are the :class:`~repro.comm.communicator.TargetedFault`
+    filters plus ``interceptors=``.
     """
 
-    fault_name = "base"
-
-    def __init__(
-        self,
-        topology: ClusterTopology,
-        *,
-        phase: str | None = None,
-        tag: str | None = None,
-        op: str | None = None,
-        channel: str | None = None,
-        at_call: int | None = 1,
-        victim: int = 0,
-        log=None,
-    ):
-        super().__init__(topology, log=log)
-        self.target_phase = phase
-        self.target_tag = tag
-        self.target_op = op
-        self.target_channel = channel
-        self.at_call = at_call
+    def __init__(self, topology: ClusterTopology, *, victim: int = 0, **kw):
+        super().__init__(topology, **kw)
         self.victim = victim
-        self.calls_matched = 0
-        self.injections = 0
         # Last *clean* delivery per op — what a stale double-buffer holds.
         self._history: dict[str, object] = {}
-
-    def describe(self) -> str:
-        filters = ", ".join(
-            f"{k}={v!r}" for k, v in [
-                ("phase", self.target_phase), ("tag", self.target_tag),
-                ("op", self.target_op), ("channel", self.target_channel),
-                ("at_call", self.at_call),
-            ] if v is not None
-        )
-        return f"{self.fault_name}({filters})"
-
-    # --- targeting ---------------------------------------------------------
-
-    def _triggered(self, op: str, phase: str, tag: str, channel: str = "fwd") -> bool:
-        if self.target_op is not None and self.target_op != op:
-            return False
-        if self.target_phase is not None and self.target_phase not in phase:
-            return False
-        if self.target_tag is not None and self.target_tag not in tag:
-            return False
-        if self.target_channel is not None and self.target_channel != channel:
-            return False
-        self.calls_matched += 1
-        hit = self.at_call is None or self.calls_matched == self.at_call
-        if hit:
-            self.injections += 1
-        return hit
 
     # --- subclass hooks ----------------------------------------------------
 
@@ -148,41 +93,20 @@ class FaultInjectingCommunicator(SimCommunicator):
 
     # --- interception ------------------------------------------------------
 
-    def _deliver_list(
-        self, op: str, operands: Sequence[object], out: list, phase: str,
-        tag: str, channel: str = "fwd",
-    ) -> list:
+    def intercept(self, ctx, proceed):
+        out = proceed()
+        op = ctx.op
+        if op not in DELIVERY_OPS:
+            return out
         prev = self._history.get(op)
+        if op == "send":
+            self._history[op] = _copy_tree(out)
+            if self._strikes(ctx):
+                return self._fault_payload(op, ctx.operands, out, prev)
+            return out
         self._history[op] = [_copy_tree(b) for b in out]
-        if self._triggered(op, phase, tag, channel):
-            return self._fault_list(op, list(operands), list(out), prev)
-        return out
-
-    def ring_shift(self, bufs, ring, *, phase, tag="", reverse=False):
-        out = super().ring_shift(bufs, ring, phase=phase, tag=tag,
-                                 reverse=reverse)
-        channel = "rev" if reverse else "fwd"
-        return self._deliver_list("ring_shift", bufs, out, phase, tag, channel)
-
-    def exchange(self, bufs, dest_of, *, phase, tag="", channel="fwd"):
-        out = super().exchange(bufs, dest_of, phase=phase, tag=tag,
-                               channel=channel)
-        return self._deliver_list("exchange", bufs, out, phase, tag, channel)
-
-    def all_to_all(self, chunks, *, phase, tag=""):
-        out = super().all_to_all(chunks, phase=phase, tag=tag)
-        return self._deliver_list("all_to_all", chunks, out, phase, tag)
-
-    def group_all_to_all(self, chunks, groups, *, phase, tag=""):
-        out = super().group_all_to_all(chunks, groups, phase=phase, tag=tag)
-        return self._deliver_list("group_all_to_all", chunks, out, phase, tag)
-
-    def send(self, src, dst, payload, *, phase, tag=""):
-        out = super().send(src, dst, payload, phase=phase, tag=tag)
-        prev = self._history.get("send")
-        self._history["send"] = _copy_tree(out)
-        if self._triggered("send", phase, tag):
-            return self._fault_payload("send", payload, out, prev)
+        if self._strikes(ctx):
+            return self._fault_list(op, list(ctx.operands), list(out), prev)
         return out
 
 

@@ -54,11 +54,23 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--quiet", action="store_true",
                         help="suppress per-case progress output")
     args = parser.parse_args(argv)
+    if args.fault is not None and args.rank_fault is not None:
+        parser.error("--fault and --rank-fault are separate axes; "
+                     "inject one at a time")
 
     if args.case is not None:
-        case = FuzzCase.parse(args.case)
-        if args.backend is not None:
-            case = replace(case, backend=args.backend)
+        try:
+            case = FuzzCase.parse(args.case)
+            if args.backend is not None:
+                case = replace(case, backend=args.backend)
+            if args.rank_fault is not None:
+                case = replace(case, rank_failure=args.rank_fault)
+            case.validate()
+        except ValueError as exc:
+            parser.error(f"--case: {exc}")
+        if args.fault is not None and case.rank_failure is not None:
+            parser.error("--fault cannot be injected into a rank_failure "
+                         "case; inject one at a time")
         passed, detail = check_case(case, fault=args.fault)
         print(detail)
         return 0 if passed else 1

@@ -64,6 +64,35 @@ class TestFuzzCLI:
         proc = run_cli("repro.testing.fuzz", "--fault", "gamma-ray")
         assert proc.returncode == 2  # argparse usage error
 
+    CASE = ("method=burst,mask=causal,nodes=1,gpn=2,seq_len=8,head_dim=2,"
+            "n_heads=1,block_size=8,dtype=float64,seed=0")
+
+    def assert_usage_error(self, proc, needle):
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert needle in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_invalid_case_spec_is_a_usage_error(self):
+        proc = run_cli("repro.testing.fuzz", "--case", "method=burst,bogus=1")
+        self.assert_usage_error(proc, "unknown case key 'bogus'")
+        proc = run_cli("repro.testing.fuzz", "--case",
+                       self.CASE.replace("seq_len=8", "seq_len=7"))
+        self.assert_usage_error(proc, "not divisible")
+
+    def test_fault_and_rank_fault_are_exclusive(self):
+        proc = run_cli("repro.testing.fuzz", "--fault", "corrupt",
+                       "--rank-fault", "crash")
+        self.assert_usage_error(proc, "one at a time")
+        proc = run_cli("repro.testing.fuzz", "--case",
+                       self.CASE + ",rank_failure=crash", "--fault", "drop")
+        self.assert_usage_error(proc, "one at a time")
+
+    def test_rank_fault_applies_to_case(self):
+        proc = run_cli("repro.testing.fuzz", "--case", self.CASE,
+                       "--rank-fault", "crash")
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert proc.stdout.startswith("detected: rank 0 declared dead")
+
 
 class TestGoldenCLI:
     def test_check_passes_against_fixtures(self):

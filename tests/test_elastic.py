@@ -53,6 +53,24 @@ def bufs4(n=2):
     return [np.full(n, float(r)) for r in range(4)]
 
 
+class TimingProbe:
+    """Interceptor recording the :class:`OpTiming` each op reports."""
+
+    def __init__(self):
+        self.seen = []
+
+    def intercept(self, ctx, proceed):
+        out = proceed()
+        self.seen.append(ctx.timing)
+        return out
+
+
+def detected(fault_cls, **kw):
+    """``fault_cls`` behind a :class:`FailureDetector`; returns both."""
+    det = FailureDetector()
+    return fault_cls(topo4(), interceptors=[det], **kw), det
+
+
 # --- simulated clock & lease policy ------------------------------------------
 
 
@@ -149,15 +167,18 @@ class TestRankFaultInjectors:
         with pytest.raises(ValueError):
             CrashRankComm(topo4(), rank=4)
 
-    def test_failure_is_permanent_and_timing_consumed_once(self):
-        comm = HangRankComm(topo4(), rank=1, at_call=1)
+    def test_failure_is_permanent_and_timing_is_per_op(self):
+        probe = TimingProbe()
+        comm = HangRankComm(topo4(), rank=1, at_call=2, interceptors=[probe])
+        comm.all_reduce(bufs4(), phase="p")  # before the strike: no timing
         comm.all_reduce(bufs4(), phase="p")
-        timing = comm.pop_op_timing()
+        timing = probe.seen[1]
+        assert probe.seen[0] is None
         assert timing.delays == {1: float("inf")}
         assert timing.kinds == {1: "hang"}
-        assert comm.pop_op_timing() is None  # consumed
         comm.all_reduce(bufs4(), phase="p")  # still failed on later ops
-        assert comm.pop_op_timing().kinds == {1: "hang"}
+        assert probe.seen[2].kinds == {1: "hang"}
+        assert probe.seen[2] is not timing  # each op reports its own
         assert comm.injections == 1
 
     def test_at_step_targeting(self):
@@ -170,9 +191,11 @@ class TestRankFaultInjectors:
         assert comm.failed
 
     def test_straggler_delay_and_describe(self):
-        comm = StragglerRankComm(topo4(), slowdown_factor=6.0, rank=3)
+        probe = TimingProbe()
+        comm = StragglerRankComm(topo4(), slowdown_factor=6.0, rank=3,
+                                 interceptors=[probe])
         comm.all_reduce(bufs4(), phase="p")
-        assert comm.pop_op_timing().delays == {3: 6.0 * NOMINAL_OP_S}
+        assert probe.seen[0].delays == {3: 6.0 * NOMINAL_OP_S}
         assert "slowdown=6" in comm.describe()
         with pytest.raises(ValueError):
             StragglerRankComm(topo4(), slowdown_factor=1.0)
@@ -190,9 +213,9 @@ class TestRankFaultInjectors:
 
 class TestFailureDetector:
     def test_crash_detected_fast(self):
-        det = FailureDetector(CrashRankComm(topo4(), rank=2, at_call=1))
+        comm, det = detected(CrashRankComm, rank=2, at_call=1)
         with pytest.raises(RankFailure) as exc_info:
-            det.all_reduce(bufs4(), phase="grad-sync")
+            comm.all_reduce(bufs4(), phase="grad-sync")
         failure = exc_info.value
         assert failure.rank == 2
         assert failure.kind == "crash"
@@ -202,32 +225,28 @@ class TestFailureDetector:
         assert det.clock.now == pytest.approx(0.5)
 
     def test_hang_waits_out_the_full_lease(self):
-        det = FailureDetector(HangRankComm(topo4(), rank=0, at_call=1))
+        comm, det = detected(HangRankComm, rank=0, at_call=1)
         with pytest.raises(RankFailure) as exc_info:
-            det.all_reduce(bufs4(), phase="p")
+            comm.all_reduce(bufs4(), phase="p")
         assert exc_info.value.kind == "hang"
         assert exc_info.value.deadline == LeaseConfig().op_deadline_s
         assert det.clock.now == pytest.approx(3.0)
 
     def test_mild_straggler_tolerated_with_extension(self):
-        det = FailureDetector(
-            StragglerRankComm(topo4(), slowdown_factor=4.0, rank=1)
-        )
-        out = det.all_reduce(bufs4(), phase="p")
+        comm, det = detected(StragglerRankComm, slowdown_factor=4.0, rank=1)
+        out = comm.all_reduce(bufs4(), phase="p")
         assert out is not None
         assert det.extensions == {1: 1}  # 4s > 3s lease -> one extension
         assert det.tolerated == [(1, "all_reduce", 1)]
         assert det.clock.now == pytest.approx(4.0)  # op completed at 4s
-        det.all_reduce(bufs4(), phase="p")  # extended lease now covers it
+        comm.all_reduce(bufs4(), phase="p")  # extended lease now covers it
         assert det.extensions == {1: 1}
         assert len(det.tolerated) == 1
 
     def test_fatal_straggler_declared_dead(self):
-        det = FailureDetector(
-            StragglerRankComm(topo4(), slowdown_factor=64.0, rank=3)
-        )
+        comm, det = detected(StragglerRankComm, slowdown_factor=64.0, rank=3)
         with pytest.raises(RankFailure) as exc_info:
-            det.all_reduce(bufs4(), phase="p")
+            comm.all_reduce(bufs4(), phase="p")
         failure = exc_info.value
         assert failure.kind == "straggler"
         assert failure.deadline == LeaseConfig().max_lease_s  # 24s
@@ -236,24 +255,26 @@ class TestFailureDetector:
     def test_detection_deferred_to_participating_op(self):
         """A failure triggered during an op the victim is not part of is
         detected at the victim's next participating op, not dropped."""
-        det = FailureDetector(CrashRankComm(topo4(), rank=3, at_call=1))
-        det.ring_shift(bufs4(), [0, 1, 2], phase="p")  # victim absent
+        comm, _ = detected(CrashRankComm, rank=3, at_call=1)
+        comm.ring_shift(bufs4(), [0, 1, 2], phase="p")  # victim absent
         with pytest.raises(RankFailure):
-            det.all_reduce(bufs4(), phase="p")
+            comm.all_reduce(bufs4(), phase="p")
 
     def test_plain_communicator_passes_at_nominal_speed(self):
-        det = FailureDetector(SimCommunicator(topo4()))
-        det.all_reduce(bufs4(), phase="p")
-        det.all_reduce(bufs4(), phase="p")
+        det = FailureDetector()
+        comm = SimCommunicator(topo4(), interceptors=[det])
+        comm.all_reduce(bufs4(), phase="p")
+        comm.all_reduce(bufs4(), phase="p")
         assert det.clock.now == pytest.approx(2 * NOMINAL_OP_S)
         assert det.call_index == 2
 
     def test_step_attribution(self):
-        det = FailureDetector(CrashRankComm(topo4(), rank=0, at_call=1))
-        det.on_step_start(5)
-        assert det.inner.current_step == 5  # forwarded to the injector
+        comm, det = detected(CrashRankComm, rank=0, at_call=1)
+        comm.on_step_start(5)
+        assert comm.current_step == 5  # the injector's own step
+        assert det.step == 5  # forwarded to the detector
         with pytest.raises(RankFailure) as exc_info:
-            det.all_reduce(bufs4(), phase="p")
+            comm.all_reduce(bufs4(), phase="p")
         assert exc_info.value.step == 5
 
     def test_metrics_family_emitted(self):
@@ -261,20 +282,24 @@ class TestFailureDetector:
         before = reg.counter("resilience.rank_failures").value(
             kind="crash", op="all_reduce"
         )
-        det = FailureDetector(CrashRankComm(topo4(), rank=1, at_call=1))
+        comm, _ = detected(CrashRankComm, rank=1, at_call=1)
         with pytest.raises(RankFailure):
-            det.all_reduce(bufs4(), phase="p")
+            comm.all_reduce(bufs4(), phase="p")
         after = reg.counter("resilience.rank_failures").value(
             kind="crash", op="all_reduce"
         )
         assert after == before + 1
 
-    def test_passthrough_properties(self):
-        inner = SimCommunicator(topo4())
-        det = FailureDetector(inner)
-        assert det.topology is inner.topology
-        assert det.log is inner.log
-        assert det.world_size == 4
+    def test_installed_as_interceptor_not_wrapper(self):
+        """The detector holds no communicator: ops, log and topology stay
+        on the one communicator that runs it in its chain."""
+        det = FailureDetector()
+        comm = SimCommunicator(topo4(), interceptors=[det])
+        assert comm.interceptors == (det,)
+        assert not hasattr(det, "inner")
+        comm.all_reduce(bufs4(), phase="p")
+        assert len(comm.log.records) == 2 * 3 * 4  # logged once per hop
+        assert det.call_index == 1
 
 
 # --- snapshot integrity -------------------------------------------------------
@@ -505,9 +530,8 @@ class TestElasticRecovery:
 
         def comm_factory(topo, incarnation):
             # every incarnation loses another rank: 4 -> 3 -> 2 -> ...
-            return FailureDetector(
-                make_rank_fault("crash", topo, rank=0, at_step=2, at_call=1)
-            )
+            return make_rank_fault("crash", topo, rank=0, at_step=2,
+                                   at_call=1, interceptors=[FailureDetector()])
 
         runner = ElasticRunner(
             lambda topo, comm: BurstEngine(config, comm=comm),
@@ -527,10 +551,9 @@ class TestElasticRecovery:
         config = _make_elastic_config("burst")
 
         def comm_factory(topo, incarnation):
-            return FailureDetector(
-                StragglerRankComm(topo, slowdown_factor=4.0, rank=2,
-                                  at_step=1, at_call=1)
-            )
+            return StragglerRankComm(topo, slowdown_factor=4.0, rank=2,
+                                     at_step=1, at_call=1,
+                                     interceptors=[FailureDetector()])
 
         runner = ElasticRunner(
             lambda topo, comm: BurstEngine(config, comm=comm),

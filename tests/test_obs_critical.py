@@ -285,9 +285,8 @@ class TestStragglerAttribution:
     @pytest.fixture(scope="class")
     def straggler_payload(self):
         topo = make_cluster(8, node=a800_node(gpus_per_node=4))
-        comm = FailureDetector(
-            StragglerRankComm(topo, rank=1, at_step=0, at_call=1)
-        )
+        comm = StragglerRankComm(topo, rank=1, at_step=0, at_call=1,
+                                 interceptors=[FailureDetector()])
         return _traced_payload("burst", "unidirectional", comm=comm)
 
     def test_straggler_ranking_names_victim(self, straggler_payload):

@@ -8,19 +8,26 @@ import numpy as np
 import pytest
 
 from repro.attention.verify import verify_method
-from repro.comm import SimCommunicator
+from repro.comm import (
+    NOMINAL_OP_S,
+    FailureDetector,
+    RankFailure,
+    SimCommunicator,
+)
 from repro.engine import BurstEngine, EngineConfig, Trainer
 from repro.nn import TransformerConfig
 from repro.nn.rng import set_seed
 from repro.resilience import (
     CommFailure,
     FaultEscalation,
+    ChecksumRetry,
     FaultMonitor,
-    ResilientCommunicator,
     RetryPolicy,
     tree_checksum,
 )
+from repro.obs import FlightRecorder, validate_postmortem
 from repro.resilience.chaos import SimulatedCrash, run_chaos
+from repro.resilience.rank_faults import CrashRankComm
 from repro.testing.faults import FAULT_REGISTRY, make_fault
 from repro.topology import a800_node, make_cluster
 
@@ -61,20 +68,20 @@ class TestRecoveryMatrix:
     @pytest.mark.parametrize("fault_name", sorted(FAULT_REGISTRY))
     @pytest.mark.parametrize("method", MATRIX_METHODS)
     def test_single_fault_recovered(self, method, fault_name):
-        inner = make_fault(fault_name, topo4(), at_call=2)
-        comm = ResilientCommunicator(inner)
+        retry = ChecksumRetry()
+        comm = make_fault(fault_name, topo4(), at_call=2, interceptors=[retry])
         report = verify_method(
             method, num_gpus=4, gpus_per_node=4, seq_len=32, n_heads=4,
             comm=comm,
         )
-        assert inner.injections >= 1, "fault never fired"
-        assert comm.monitor.total_faults >= 1, "fault not detected"
-        assert comm.monitor.total_recoveries >= 1, "fault not recovered"
+        assert comm.injections >= 1, "fault never fired"
+        assert retry.monitor.total_faults >= 1, "fault not detected"
+        assert retry.monitor.total_recoveries >= 1, "fault not recovered"
         assert report.passed, report.summary()
 
     @pytest.mark.parametrize("fault_name", sorted(FAULT_REGISTRY))
     def test_unprotected_comm_stays_broken(self, fault_name):
-        """Sanity inverse: without the resilient wrapper the same faults
+        """Sanity inverse: without checksum-retry the same faults
         corrupt the run (so the matrix above is not vacuous)."""
         inner = make_fault(fault_name, topo4(), at_call=2)
         report = verify_method(
@@ -91,20 +98,21 @@ class TestBidirectionalRecovery:
 
     @pytest.mark.parametrize("fault_name", sorted(FAULT_REGISTRY))
     def test_reverse_channel_fault_recovered(self, fault_name):
-        inner = make_fault(fault_name, topo4(), at_call=1, channel="rev")
-        comm = ResilientCommunicator(inner)
+        retry = ChecksumRetry()
+        comm = make_fault(fault_name, topo4(), at_call=1, channel="rev",
+                          interceptors=[retry])
         report = verify_method(
             "burst", num_gpus=4, gpus_per_node=4, seq_len=32, n_heads=4,
             comm=comm, ring_mode="bidirectional",
         )
-        assert inner.injections >= 1, "reverse-channel fault never fired"
-        assert comm.monitor.total_faults >= 1, "fault not detected"
-        assert comm.monitor.total_recoveries >= 1, "fault not recovered"
+        assert comm.injections >= 1, "reverse-channel fault never fired"
+        assert retry.monitor.total_faults >= 1, "fault not detected"
+        assert retry.monitor.total_recoveries >= 1, "fault not recovered"
         assert report.passed, report.summary()
 
     @pytest.mark.parametrize("fault_name", sorted(FAULT_REGISTRY))
     def test_unprotected_reverse_channel_stays_broken(self, fault_name):
-        """Without the resilient wrapper a reverse-channel fault corrupts
+        """Without checksum-retry a reverse-channel fault corrupts
         the bidirectional run, so the matrix above is not vacuous."""
         inner = make_fault(fault_name, topo4(), at_call=1, channel="rev")
         report = verify_method(
@@ -117,22 +125,22 @@ class TestBidirectionalRecovery:
     def test_matrix_extends_to_bidirectional(self, method):
         """The original recovery matrix holds with the mode flipped:
         an untargeted mid-run fault still heals under bidirectional."""
-        inner = make_fault("corrupt", topo4(), at_call=2)
-        comm = ResilientCommunicator(inner)
+        retry = ChecksumRetry()
+        comm = make_fault("corrupt", topo4(), at_call=2, interceptors=[retry])
         report = verify_method(
             method, num_gpus=4, gpus_per_node=4, seq_len=32, n_heads=4,
             comm=comm, ring_mode="bidirectional",
         )
-        assert inner.injections >= 1
-        assert comm.monitor.total_recoveries >= 1
+        assert comm.injections >= 1
+        assert retry.monitor.total_recoveries >= 1
         assert report.passed, report.summary()
 
 
 class TestStructuredFailure:
     def test_persistent_fault_raises_commfailure(self):
-        comm = ResilientCommunicator(
-            make_fault("corrupt", topo4(), at_call=None),
-            retry=RetryPolicy(max_retries=2),
+        comm = make_fault(
+            "corrupt", topo4(), at_call=None,
+            interceptors=[ChecksumRetry(retry=RetryPolicy(max_retries=2))],
         )
         with pytest.raises(CommFailure) as exc_info:
             verify_method(
@@ -153,13 +161,14 @@ class TestStructuredFailure:
     def test_persistent_stale_buffer_recovers(self):
         """A permanently stale double-buffer heals on every retry: the
         retransmission lands the delivery the buffer missed."""
-        comm = ResilientCommunicator(make_fault("stale", topo4(), at_call=None))
+        retry = ChecksumRetry()
+        comm = make_fault("stale", topo4(), at_call=None, interceptors=[retry])
         report = verify_method(
             "burst", num_gpus=4, gpus_per_node=4, seq_len=32, n_heads=4,
             comm=comm,
         )
         assert report.passed
-        assert comm.monitor.total_recoveries >= 1
+        assert retry.monitor.total_recoveries >= 1
 
     def test_retries_appear_in_traffic_log(self):
         """Retransmissions are real traffic: the recovered run logs more
@@ -167,7 +176,8 @@ class TestStructuredFailure:
         clean = SimCommunicator(topo4())
         verify_method("burst", num_gpus=4, gpus_per_node=4, seq_len=32,
                       n_heads=4, comm=clean)
-        faulty = ResilientCommunicator(make_fault("corrupt", topo4(), at_call=1))
+        faulty = make_fault("corrupt", topo4(), at_call=1,
+                            interceptors=[ChecksumRetry()])
         verify_method("burst", num_gpus=4, gpus_per_node=4, seq_len=32,
                       n_heads=4, comm=faulty)
         assert faulty.log.total_bytes() > clean.log.total_bytes()
@@ -187,9 +197,8 @@ class TestFaultMonitor:
 
     def test_escalation_past_threshold(self):
         monitor = FaultMonitor(escalate_threshold=2)
-        comm = ResilientCommunicator(
-            make_fault("drop", topo4(), at_call=None), monitor=monitor
-        )
+        comm = make_fault("drop", topo4(), at_call=None,
+                          interceptors=[ChecksumRetry(monitor=monitor)])
         with pytest.raises(FaultEscalation) as exc_info:
             verify_method(
                 "burst", num_gpus=4, gpus_per_node=4, seq_len=32, n_heads=4,
@@ -205,20 +214,23 @@ class TestFaultMonitor:
 
 class TestResilientPassthrough:
     def test_unguarded_collectives_delegate(self):
-        comm = ResilientCommunicator(SimCommunicator(topo4()))
+        retry = ChecksumRetry()
+        comm = SimCommunicator(topo4(), interceptors=[retry])
         bufs = [np.full(4, float(r)) for r in range(4)]
         out = comm.all_reduce(bufs, phase="p")
         np.testing.assert_allclose(out[0], np.full(4, 6.0))
         assert comm.world_size == 4
-        assert comm.log is comm.inner.log
+        assert len(comm.log.records) == 2 * 3 * 4  # ring all-reduce hops
+        assert retry.call_index == 0  # not a guarded delivery
 
     def test_clean_deliveries_cost_no_retries(self):
-        comm = ResilientCommunicator(SimCommunicator(topo4()))
+        retry = ChecksumRetry()
+        comm = SimCommunicator(topo4(), interceptors=[retry])
         bufs = [np.full(2, float(r)) for r in range(4)]
         out = comm.ring_shift(bufs, [0, 1, 2, 3], phase="p")
         np.testing.assert_allclose(out[1], bufs[0])
-        assert comm.monitor.total_faults == 0
-        assert comm.monitor.total_recoveries == 0
+        assert retry.monitor.total_faults == 0
+        assert retry.monitor.total_recoveries == 0
 
 
 def tiny_engine(comm=None):
@@ -268,8 +280,8 @@ class TestEngineCommInjection:
         clean.fit(data, steps=3)
         set_seed(0)
         resilient = Trainer(
-            tiny_engine(comm=ResilientCommunicator(
-                make_fault("misroute", topo4(), at_call=4))),
+            tiny_engine(comm=make_fault("misroute", topo4(), at_call=4,
+                                        interceptors=[ChecksumRetry()])),
             clip_norm=1.0,
         )
         resilient.fit(data, steps=3)
@@ -393,6 +405,74 @@ class TestChaosRunner:
         assert all(s.injections >= 1 for s in report.scenarios)
 
 
+class CallProbe:
+    """Interceptor recording the op-context ``call`` of every issue."""
+
+    def __init__(self):
+        self.calls = []
+
+    def intercept(self, ctx, proceed):
+        self.calls.append(ctx.call)
+        return proceed()
+
+
+class TestCompositionOrder:
+    """The ``interceptors=`` list is the composition order, outermost
+    first: checksum-retry and the lease detector stack either way round."""
+
+    RING = [0, 1, 2, 3]
+
+    def bufs(self):
+        return [np.full(2, float(r)) for r in range(4)]
+
+    def test_retry_over_detector_guards_every_attempt(self):
+        retry, det, probe = ChecksumRetry(), FailureDetector(), CallProbe()
+        comm = make_fault("corrupt", topo4(), at_call=1,
+                          interceptors=[retry, det, probe])
+        out = comm.ring_shift(self.bufs(), self.RING, phase="p")
+        np.testing.assert_array_equal(out[1], self.bufs()[0])
+        assert retry.monitor.total_recoveries == 1
+        # Two attempts, each lease-guarded, of one op.
+        assert det.call_index == 2
+        assert det.clock.now == pytest.approx(2 * NOMINAL_OP_S)
+        assert probe.calls == [1, 1]
+        comm.ring_shift(self.bufs(), self.RING, phase="p")
+        assert det.call_index == 3
+        assert det.clock.now == pytest.approx(3 * NOMINAL_OP_S)
+
+    def test_detector_over_retry_guards_once_per_op(self):
+        retry, det = ChecksumRetry(), FailureDetector()
+        comm = make_fault("corrupt", topo4(), at_call=1,
+                          interceptors=[det, retry])
+        comm.ring_shift(self.bufs(), self.RING, phase="p")
+        assert retry.monitor.total_recoveries == 1
+        assert det.call_index == 1
+        assert det.clock.now == pytest.approx(NOMINAL_OP_S)
+        comm.ring_shift(self.bufs(), self.RING, phase="p")
+        assert det.call_index == 2
+        assert det.clock.now == pytest.approx(2 * NOMINAL_OP_S)
+
+    @pytest.mark.parametrize("retry_outermost", [True, False])
+    def test_crash_under_retry_and_detector_is_a_rank_failure(
+        self, tmp_path, retry_outermost
+    ):
+        retry, det = ChecksumRetry(), FailureDetector()
+        chain = [retry, det] if retry_outermost else [det, retry]
+        comm = CrashRankComm(topo4(), rank=1, at_call=1, interceptors=chain)
+        with FlightRecorder(out_dir=str(tmp_path)) as recorder:
+            with pytest.raises(RankFailure) as exc_info:
+                comm.ring_shift(self.bufs(), self.RING, phase="p")
+        assert exc_info.value.rank == 1
+        assert exc_info.value.call_index == 1
+        # The crash leaves payloads intact: retry sees no damage.
+        assert retry.monitor.total_faults == 0
+        assert len(recorder.dumps) == 1
+        with open(recorder.dumps[0]) as fh:
+            bundle = validate_postmortem(fh.read())
+        assert bundle["reason"]["type"] == "RankFailure"
+        assert bundle["lease"]["call_index"] == 1
+
+
 class TestChannelContext:
     """PR-6's bidirectional channel is part of the failure context: both
     the structured ``CommFailure`` and ``FaultMonitor`` events name the
@@ -412,9 +492,9 @@ class TestChannelContext:
         assert monitor.events[-1].channel == "fwd"
 
     def test_commfailure_names_reverse_channel(self):
-        comm = ResilientCommunicator(
-            make_fault("corrupt", topo4(), at_call=None, channel="rev"),
-            retry=RetryPolicy(max_retries=1),
+        comm = make_fault(
+            "corrupt", topo4(), at_call=None, channel="rev",
+            interceptors=[ChecksumRetry(retry=RetryPolicy(max_retries=1))],
         )
         with pytest.raises(CommFailure) as exc_info:
             verify_method(
@@ -426,9 +506,9 @@ class TestChannelContext:
         assert "channel='rev'" in str(failure)
 
     def test_forward_commfailure_keeps_default_channel(self):
-        comm = ResilientCommunicator(
-            make_fault("corrupt", topo4(), at_call=None),
-            retry=RetryPolicy(max_retries=1),
+        comm = make_fault(
+            "corrupt", topo4(), at_call=None,
+            interceptors=[ChecksumRetry(retry=RetryPolicy(max_retries=1))],
         )
         with pytest.raises(CommFailure) as exc_info:
             verify_method(
