@@ -33,7 +33,6 @@ from repro.comm import BidirectionalFlow, RingSchedule, SimCommunicator
 from repro.comm.ring import check_ring_mode
 from repro.kernels import (
     BiasTileCache,
-    KernelWorkspace,
     TilePlan,
     get_backend,
 )
@@ -55,7 +54,6 @@ def _tile_backward_qgrad(
     block_k: int,
     bias: np.ndarray | None = None,
     plan: TilePlan | None = None,
-    workspace: KernelWorkspace | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One Algorithm-2 device step: given the circulating query-side bundle
     and the pinned ``(K_i, V_i)``, compute ``(dQ_j part, dK_i part, dV_i
@@ -67,12 +65,12 @@ def _tile_backward_qgrad(
     is the quantity required, which is what travels).  The tile loop is
     :func:`repro.kernels.flash_backward_tiles` — the same backward core as
     :func:`~repro.kernels.flash_attention_backward` minus the local ``D``
-    recomputation, so it consumes tile plans and workspaces natively.
+    recomputation, so it consumes tile plans natively.
     """
     return get_backend().flash_backward_tiles(
         q_j, k_i, v_i, lse_j, d_j, do_j,
         mask=tile, scale=scale, block_q=block_q, block_k=block_k,
-        bias=bias, plan=plan, workspace=workspace,
+        bias=bias, plan=plan,
     )
 
 
@@ -120,7 +118,6 @@ def burst_attention_backward(
     ds = [np.sum(dos[r] * os[r], axis=-1) for r in range(g)]
 
     bias_cache = BiasTileCache()
-    workspace = KernelWorkspace()
     bufs: list[object] = [
         (
             qs[r].copy(),
@@ -159,7 +156,7 @@ def burst_attention_backward(
             dq_part, dk_part, dv_part = _tile_backward_qgrad(
                 q_j, ks[r], vs[r], do_j, d_j, lse_j, tile, scale,
                 block_size, block_size,
-                bias=bias, plan=plan, workspace=workspace,
+                bias=bias, plan=plan,
             )
             dks[r] += dk_part
             dvs[r] += dv_part

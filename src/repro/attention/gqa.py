@@ -38,7 +38,6 @@ from repro.comm import BidirectionalFlow, RingSchedule, SimCommunicator
 from repro.comm.ring import check_ring_mode
 from repro.kernels import (
     BiasTileCache,
-    KernelWorkspace,
     attention_reference,
     attention_reference_backward,
     get_backend,
@@ -173,7 +172,6 @@ def gqa_ring_backward_kv(
 
     dqs = [np.zeros_like(q) for q in qs]
     bias_cache = BiasTileCache()
-    workspace = KernelWorkspace()
     bufs: list[object] = [
         (ks[r].copy(), vs[r].copy(), np.zeros_like(ks[r]), np.zeros_like(vs[r]))
         for r in range(g)
@@ -201,7 +199,7 @@ def gqa_ring_backward_kv(
                 qs[r], repeat_kv(k_j, groups), repeat_kv(v_j, groups),
                 os[r], lses[r], dos[r], mask=tile, scale=scale,
                 block_q=block_size, block_k=block_size,
-                bias=bias, plan=plan, workspace=workspace,
+                bias=bias, plan=plan,
             )
             dqs[r] += dq_part
             dk_j = dk_j + fold_kv_grad(dk_part, groups)
@@ -261,7 +259,6 @@ def gqa_ring_forward(
     ]
     lses = [np.full(q.shape[:-1], NEG_INF, dtype=np.float64) for q in qs]
     bias_cache = BiasTileCache()
-    workspace = KernelWorkspace()
     bufs: list[object] = [(ks[r].copy(), vs[r].copy()) for r in range(g)]
     flow = (
         BidirectionalFlow(comm, schedule, bufs, phase=phase, tag="gqa-kv")
@@ -281,7 +278,7 @@ def gqa_ring_forward(
             o_part, lse_part = get_backend().flash_forward(
                 qs[r], repeat_kv(k_j, groups), repeat_kv(v_j, groups),
                 mask=tile, scale=scale, block_q=block_size, block_k=block_size,
-                bias=bias, plan=plan, workspace=workspace,
+                bias=bias, plan=plan,
             )
             os[r], lses[r] = merge_states(os[r], lses[r], o_part, lse_part)
         if t < steps - 1:

@@ -31,7 +31,6 @@ from repro.comm import BidirectionalFlow, RingSchedule, SimCommunicator
 from repro.comm.ring import check_ring_mode
 from repro.kernels import (
     BiasTileCache,
-    KernelWorkspace,
     TilePlan,
     get_backend,
     planning_enabled,
@@ -166,7 +165,6 @@ def ring_attention_forward(
     ]
 
     bias_cache = BiasTileCache()
-    workspace = KernelWorkspace()
     bufs: list[object] = [(ks[r].copy(), vs[r].copy()) for r in range(g)]
     flow = (
         BidirectionalFlow(comm, schedule, bufs, phase=phase, tag="kv")
@@ -186,7 +184,7 @@ def ring_attention_forward(
             o_part, lse_part = get_backend().flash_forward(
                 qs[r], k_j, v_j, mask=tile, scale=scale,
                 block_q=block_size, block_k=block_size,
-                bias=bias, plan=plan, workspace=workspace,
+                bias=bias, plan=plan,
             )
             os[r], lses[r] = merge_states(os[r], lses[r], o_part, lse_part)
         if t < steps - 1:
@@ -247,7 +245,6 @@ def ring_attention_backward_kv(
 
     dqs = [np.zeros_like(q) for q in qs]
     bias_cache = BiasTileCache()
-    workspace = KernelWorkspace()
     bufs: list[object] = [
         (ks[r].copy(), vs[r].copy(), np.zeros_like(ks[r]), np.zeros_like(vs[r]))
         for r in range(g)
@@ -279,7 +276,7 @@ def ring_attention_backward_kv(
                 qs[r], k_j, v_j, os[r], lses[r], dos[r],
                 mask=tile, scale=scale,
                 block_q=block_size, block_k=block_size,
-                bias=bias, plan=plan, workspace=workspace,
+                bias=bias, plan=plan,
             )
             dqs[r] += dq_part
             if len(bufs[r]) == 4:

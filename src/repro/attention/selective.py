@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.attention.ring import _resolve_tiles
 from repro.comm import SimCommunicator
-from repro.kernels import KernelWorkspace, get_backend
+from repro.kernels import get_backend
 from repro.kernels.softmax import NEG_INF, merge_states
 from repro.masks import MaskPattern
 from repro.obs.tracer import traced
@@ -86,7 +86,6 @@ def selective_attention_forward(
         for i, q in enumerate(qs)
     ]
     lses = [np.full(q.shape[:-1], NEG_INF, dtype=np.float64) for q in qs]
-    workspace = KernelWorkspace()
     for i in range(g):
         for j in range(g):
             if not need[i, j]:
@@ -106,7 +105,7 @@ def selective_attention_forward(
             o_part, lse_part = get_backend().flash_forward(
                 qs[i], k_j, v_j, mask=tile, scale=scale,
                 block_q=block_size, block_k=block_size,
-                plan=plan, workspace=workspace,
+                plan=plan,
             )
             os[i], lses[i] = merge_states(os[i], lses[i], o_part, lse_part)
     return os, lses
@@ -147,7 +146,6 @@ def selective_attention_backward(
     dks = [np.zeros_like(k) for k in ks]
     dvs = [np.zeros_like(v) for v in vs]
 
-    workspace = KernelWorkspace()
     for i in range(g):
         for j in range(g):
             if not need[i, j]:
@@ -167,7 +165,7 @@ def selective_attention_backward(
             dq_part, dk_part, dv_part = _tile_backward_qgrad(
                 q_i, ks[j], vs[j], do_i, d_i, lse_i, tile, scale,
                 block_size, block_size,
-                plan=plan, workspace=workspace,
+                plan=plan,
             )
             dks[j] += dk_part
             dvs[j] += dv_part

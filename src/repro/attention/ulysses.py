@@ -24,7 +24,6 @@ import numpy as np
 from repro.comm import SimCommunicator
 from repro.kernels import (
     BiasTileCache,
-    KernelWorkspace,
     TilePlan,
     get_backend,
     planning_enabled,
@@ -157,7 +156,6 @@ def ulysses_attention_forward(
                 bias_slices = [
                     bias_full[r * hh : (r + 1) * hh] for r in range(g)
                 ]
-    workspace = KernelWorkspace()
     o_h, lse_h = [], []
     for r in range(g):
         o, lse = get_backend().flash_forward(
@@ -165,7 +163,6 @@ def ulysses_attention_forward(
             block_q=block_size, block_k=block_size,
             bias=None if bias_slices is None else bias_slices[r],
             plan=None if plans is None else plans[r],
-            workspace=workspace,
         )
         o_h.append(o)
         lse_h.append(lse)
@@ -211,7 +208,6 @@ def ulysses_attention_backward(
     ]
 
     dq_h, dk_h, dv_h = [], [], []
-    workspace = KernelWorkspace()
     for r in range(g):
         dq, dk, dv = get_backend().flash_backward(
             ctx.q_h[r], ctx.k_h[r], ctx.v_h[r], ctx.o_h[r], ctx.lse_h[r],
@@ -219,7 +215,6 @@ def ulysses_attention_backward(
             block_q=ctx.block_size, block_k=ctx.block_size,
             bias=None if ctx.bias_slices is None else ctx.bias_slices[r],
             plan=None if ctx.plans is None else ctx.plans[r],
-            workspace=workspace,
         )
         dq_h.append(dq)
         dk_h.append(dk)

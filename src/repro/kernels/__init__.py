@@ -28,7 +28,6 @@ from repro.kernels.tileplan import (
     FULL,
     PARTIAL,
     BiasTileCache,
-    KernelWorkspace,
     TileCounters,
     TilePlan,
     counters,
@@ -73,7 +72,6 @@ __all__ = [
     "FULL",
     "PARTIAL",
     "BiasTileCache",
-    "KernelWorkspace",
     "TileCounters",
     "TilePlan",
     "counters",

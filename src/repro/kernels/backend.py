@@ -10,18 +10,18 @@ the hot path is a runtime choice:
     kernels in :mod:`repro.kernels.flash` / :mod:`repro.kernels.mlp`.
     Everything else in the repo is differential-tested against it.
 ``threaded``
-    A worker-pool fast path: the flash forward/backward fan their query
-    blocks (and the blockwise MLP its sequence chunks) across a thread
-    pool.  NumPy releases the GIL inside BLAS calls, so on a multi-core
-    host the GEMMs genuinely overlap.  Bitwise-identical to ``reference``
-    by construction: forward q-blocks write disjoint output slices, and
-    backward ``dk``/``dv`` tiles are merged on the calling thread in
-    ascending q-block order — the exact accumulation order of the
-    sequential loop (IEEE addition is commutative but not associative;
-    preserving the per-slice fold order is what buys bit equality).
-    Each worker owns a persistent :class:`~repro.kernels.tileplan
-    .KernelWorkspace` and tallies tile counters into a thread-local
-    buffer merged on task exit.
+    A worker-pool fast path over the same flash core: the flash
+    forward/backward fan spans of query blocks (and the blockwise MLP its
+    sequence chunks) across a thread pool.  NumPy releases the GIL inside
+    BLAS calls, so on a multi-core host the GEMMs genuinely overlap.  The
+    calling thread resolves each invocation's runs and does all tile
+    accounting; workers only run the numeric core.  Bitwise-identical to
+    ``reference`` by construction: forward q-blocks write disjoint output
+    slices, and the backward's per-run ``(k0, k1, dk, dv)`` slabs are
+    merged on the calling thread in ascending q-block order — the exact
+    accumulation order of the sequential loop (IEEE addition is
+    commutative but not associative; preserving the per-slice fold order
+    is what buys bit equality).
 
 Selection::
 
@@ -51,14 +51,12 @@ from repro.kernels.attention_ref import (
 )
 from repro.kernels.flash import (
     DEFAULT_BLOCK,
-    _backward_q_block,
-    _backward_tiles,
-    _forward_q_block,
-    _forward_tiles,
-    _validate_plan,
+    backward_core,
     flash_attention_backward,
     flash_attention_forward,
     flash_backward_tiles,
+    forward_core,
+    row_stat,
 )
 from repro.kernels.mlp import (
     backward_chunk,
@@ -70,8 +68,7 @@ from repro.kernels.mlp import (
     swiglu_mlp_forward,
     uses_chunking,
 )
-from repro.kernels.softmax import NEG_INF
-from repro.kernels.tileplan import KernelWorkspace, counters
+from repro.kernels.tileplan import counters
 from repro.obs.tracer import NOOP_SPAN, trace_span
 
 __all__ = [
@@ -107,7 +104,7 @@ class KernelBackend:
 
     def flash_forward(
         self, q, k, v, mask=None, scale=None, block_q=DEFAULT_BLOCK,
-        block_k=DEFAULT_BLOCK, bias=None, plan=None, workspace=None,
+        block_k=DEFAULT_BLOCK, bias=None, plan=None,
     ):
         """Tiled attention forward; returns ``(o, lse)``."""
         raise NotImplementedError
@@ -115,7 +112,6 @@ class KernelBackend:
     def flash_backward(
         self, q, k, v, o, lse, do, mask=None, scale=None,
         block_q=DEFAULT_BLOCK, block_k=DEFAULT_BLOCK, bias=None, plan=None,
-        workspace=None,
     ):
         """Tiled attention backward; returns ``(dq, dk, dv)``."""
         raise NotImplementedError
@@ -123,7 +119,6 @@ class KernelBackend:
     def flash_backward_tiles(
         self, q, k, v, lse, d_stat, do, mask=None, scale=None,
         block_q=DEFAULT_BLOCK, block_k=DEFAULT_BLOCK, bias=None, plan=None,
-        workspace=None,
     ):
         """Backward with caller-supplied row statistics (BurstAttention
         Algorithm 2's device step); returns ``(dq, dk, dv)``."""
@@ -215,14 +210,18 @@ def _span_chunks(n_items: int, n_tasks: int) -> list[tuple[int, int]]:
 
 
 class ThreadedBackend(KernelBackend):
-    """Worker-pool fast path over the reference per-q-block kernels.
+    """Worker-pool fast path over the same per-q-block flash core.
 
-    Forward: workers write disjoint ``o``/``lse`` (and ``dq``) slices —
-    scheduling-independent by construction.  Backward: workers *collect*
-    their ``dk``/``dv`` tiles; the calling thread folds them in ascending
-    q-block order, reproducing the sequential per-slice accumulation
-    order bit for bit.  Small problems (fewer than two q-blocks, or a
-    single worker) fall through to the sequential loops.
+    The calling thread resolves the runs (and does all tile accounting)
+    in :func:`~repro.kernels.flash.forward_core` /
+    :func:`~repro.kernels.flash.backward_core`; workers only run
+    contiguous spans of q-blocks, under the caller's floating-point
+    error state.  Forward: workers write disjoint ``o``/``lse`` (and
+    ``dq``) slices — scheduling-independent by construction.  Backward:
+    workers *collect* their per-run ``dk``/``dv`` slabs; the calling
+    thread folds them in ascending q-block order, reproducing the
+    sequential per-slice accumulation order bit for bit.  Small problems
+    (fewer than two q-blocks, or a single worker) run inline.
     """
 
     name = "threaded"
@@ -235,9 +234,8 @@ class ThreadedBackend(KernelBackend):
         self.workers = workers
         self._pool: ThreadPoolExecutor | None = None
         self._pool_lock = threading.Lock()
-        self._tls = threading.local()
 
-    # -- pool / per-worker state ----------------------------------------------
+    # -- pool -----------------------------------------------------------------
 
     def _executor(self) -> ThreadPoolExecutor:
         with self._pool_lock:
@@ -248,14 +246,6 @@ class ThreadedBackend(KernelBackend):
                 )
             return self._pool
 
-    def _worker_workspace(self) -> KernelWorkspace:
-        """Persistent per-worker scratch, reused across invocations."""
-        ws = getattr(self._tls, "ws", None)
-        if ws is None:
-            ws = KernelWorkspace()
-            self._tls.ws = ws
-        return ws
-
     def close(self) -> None:
         """Shut the pool down (tests; harmless if never started)."""
         with self._pool_lock:
@@ -263,143 +253,60 @@ class ThreadedBackend(KernelBackend):
                 self._pool.shutdown(wait=True)
                 self._pool = None
 
-    # -- flash attention ------------------------------------------------------
-
-    def flash_forward(
-        self, q, k, v, mask=None, scale=None, block_q=DEFAULT_BLOCK,
-        block_k=DEFAULT_BLOCK, bias=None, plan=None, workspace=None,
-    ):
-        span = trace_span(
-            "flash.fwd", phase="compute", backend=self.name,
-            workers=self.workers,
-        )
-        with span, counters.backend_scope(self.name):
-            if span is not NOOP_SPAN:
-                span["sq"], span["sk"] = int(q.shape[-2]), int(k.shape[-2])
-                span["planned"] = plan is not None
-            return self._forward(
-                q, k, v, mask, scale, block_q, block_k, bias, plan, workspace
-            )
-
-    def _forward(
-        self, q, k, v, mask, scale, block_q, block_k, bias, plan, workspace
-    ):
-        if scale is None:
-            scale = 1.0 / np.sqrt(q.shape[-1])
-        sq, sk = q.shape[-2], k.shape[-2]
-        _validate_plan(plan, sq, sk, mask, bias)
-        if plan is not None:
-            block_q, block_k = plan.block_q, plan.block_k
-        n_blocks = -(-sq // block_q)
+    def _map_spans(self, fn, n_blocks: int) -> list:
+        """``fn(range)`` over contiguous q-block spans, results in span
+        order; inline when there is nothing to fan out."""
         if n_blocks < 2 or self.workers < 2:
-            return _forward_tiles(
-                q, k, v, mask, scale, block_q, block_k, bias, plan, workspace
-            )
-        o = np.zeros(q.shape[:-1] + (v.shape[-1],), dtype=np.float64)
-        lse = np.full(q.shape[:-1], NEG_INF, dtype=np.float64)
+            return [fn(range(n_blocks))]
+        err = np.geterr()
 
-        def run(b0: int, b1: int) -> None:
-            ws = self._worker_workspace()
-            with counters.deferred():
-                for qi in range(b0, b1):
-                    q0 = qi * block_q
-                    q1 = min(q0 + block_q, sq)
-                    o_blk, lse_blk = _forward_q_block(
-                        qi, q0, q1, q, k, v, mask, scale, block_k, bias,
-                        plan, ws,
-                    )
-                    o[..., q0:q1, :] = o_blk
-                    lse[..., q0:q1] = lse_blk
+        def task(b0: int, b1: int):
+            with np.errstate(**err):
+                return fn(range(b0, b1))
 
         pool = self._executor()
         futures = [
-            pool.submit(run, b0, b1)
+            pool.submit(task, b0, b1)
             for b0, b1 in _span_chunks(n_blocks, self.workers)
         ]
-        for fut in futures:
-            fut.result()
-        return o, lse
+        return [fut.result() for fut in futures]
 
-    def flash_backward(
-        self, q, k, v, o, lse, do, mask=None, scale=None,
-        block_q=DEFAULT_BLOCK, block_k=DEFAULT_BLOCK, bias=None, plan=None,
-        workspace=None,
-    ):
-        if scale is None:
-            scale = 1.0 / np.sqrt(q.shape[-1])
-        d_stat = np.sum(do * o, axis=-1)
-        return self.flash_backward_tiles(
-            q, k, v, lse, d_stat, do, mask=mask, scale=scale,
-            block_q=block_q, block_k=block_k, bias=bias, plan=plan,
-            workspace=workspace,
+    # -- flash attention ------------------------------------------------------
+
+    def _span(self, name, q, k, plan):
+        span = trace_span(
+            name, phase="compute", backend=self.name, workers=self.workers,
         )
+        if span is not NOOP_SPAN:
+            span["sq"], span["sk"] = int(q.shape[-2]), int(k.shape[-2])
+            span["planned"] = plan is not None
+        return span
+
+    def flash_forward(
+        self, q, k, v, mask=None, scale=None, block_q=DEFAULT_BLOCK,
+        block_k=DEFAULT_BLOCK, bias=None, plan=None,
+    ):
+        with self._span("flash.fwd", q, k, plan), \
+                counters.backend_scope(self.name):
+            return forward_core(
+                q, k, v, mask, scale, block_q, block_k, bias, plan,
+                map_rows=self._map_spans,
+            )
+
+    def flash_backward(self, q, k, v, o, lse, do, **kw):
+        return self.flash_backward_tiles(q, k, v, lse, row_stat(do, o), do,
+                                         **kw)
 
     def flash_backward_tiles(
         self, q, k, v, lse, d_stat, do, mask=None, scale=None,
         block_q=DEFAULT_BLOCK, block_k=DEFAULT_BLOCK, bias=None, plan=None,
-        workspace=None,
     ):
-        span = trace_span(
-            "flash.bwd", phase="compute", backend=self.name,
-            workers=self.workers,
-        )
-        with span, counters.backend_scope(self.name):
-            if span is not NOOP_SPAN:
-                span["sq"], span["sk"] = int(q.shape[-2]), int(k.shape[-2])
-                span["planned"] = plan is not None
-            return self._backward_tiles_threaded(
+        with self._span("flash.bwd", q, k, plan), \
+                counters.backend_scope(self.name):
+            return backward_core(
                 q, k, v, lse, d_stat, do, mask, scale, block_q, block_k,
-                bias, plan, workspace,
+                bias, plan, map_rows=self._map_spans,
             )
-
-    def _backward_tiles_threaded(
-        self, q, k, v, lse, d_stat, do, mask, scale, block_q, block_k,
-        bias, plan, workspace,
-    ):
-        if scale is None:
-            scale = 1.0 / np.sqrt(q.shape[-1])
-        sq, sk = q.shape[-2], k.shape[-2]
-        _validate_plan(plan, sq, sk, mask, bias)
-        if plan is not None:
-            block_q, block_k = plan.block_q, plan.block_k
-        n_blocks = -(-sq // block_q)
-        if n_blocks < 2 or self.workers < 2:
-            return _backward_tiles(
-                q, k, v, lse, d_stat, do, mask, scale, block_q, block_k,
-                bias, plan, workspace,
-            )
-        dq = np.zeros_like(q)
-        dk = np.zeros_like(k)
-        dv = np.zeros_like(v)
-
-        def run(b0: int, b1: int) -> list:
-            ws = self._worker_workspace()
-            collected = []
-            with counters.deferred():
-                for qi in range(b0, b1):
-                    q0 = qi * block_q
-                    q1 = min(q0 + block_q, sq)
-                    dq_blk, tiles = _backward_q_block(
-                        qi, q0, q1, q, k, v, lse, d_stat, do, mask, scale,
-                        block_k, bias, plan, ws,
-                    )
-                    dq[..., q0:q1, :] = dq_blk
-                    collected.append(tiles)
-            return collected
-
-        pool = self._executor()
-        futures = [
-            pool.submit(run, b0, b1)
-            for b0, b1 in _span_chunks(n_blocks, self.workers)
-        ]
-        # Merge on this thread, chunks (and q-blocks within them) in
-        # ascending order: per dk/dv slice this is the sequential fold.
-        for fut in futures:
-            for tiles in fut.result():
-                for k0, k1, dk_tile, dv_tile in tiles:
-                    dv[..., k0:k1, :] += dv_tile
-                    dk[..., k0:k1, :] += dk_tile
-        return dq, dk, dv
 
     # -- blockwise MLP --------------------------------------------------------
 

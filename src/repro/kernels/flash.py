@@ -1,94 +1,267 @@
-"""Blockwise (FlashAttention-style) exact attention in numpy.
+"""Blockwise (FlashAttention-2 style) exact attention in numpy.
 
-The computation is tiled over query and key blocks and never materialises
-the full ``Sq x Sk`` score matrix: the forward pass keeps a running
-``(O, lse)`` state per query block merged with the online-softmax rule, and
-the backward pass re-forms each score tile from the saved ``lse`` (plus the
-``D = rowsum(dO * O)`` row statistics), exactly as FlashAttention-2 does on
-a GPU.  These tiled kernels are what every distributed attention method in
+The computation is tiled over query blocks and never materialises the
+full ``Sq x Sk`` score matrix.  Within a query block, the key axis is
+walked in *runs*: maximal stretches of consecutive ``block_k`` sub-tiles
+that hold at least one allowed (query, key) pair.  Each run is one GEMM
+against the contiguous K/V slab it covers, so a causal q-block costs one
+score GEMM rather than one per sub-tile.  The forward pass keeps the
+FlashAttention-2 running row maximum and denominator across runs and
+normalises once per q-block; the backward pass re-forms each run's
+probabilities from the saved ``lse`` (plus the ``D = rowsum(dO * O)`` row
+statistics) with one GEMM each for ``dV``, ``dP``, ``dQ`` and ``dK``.
+These kernels are what every distributed attention method in
 :mod:`repro.attention` runs locally on each simulated device.
 
-Masking comes in two forms:
+Masking comes in two forms, both classified into the same per-sub-tile
+``EMPTY``/``PARTIAL``/``FULL`` states and run through the same core:
 
 * a :class:`~repro.kernels.tileplan.TilePlan` (``plan=``) — the fast path.
-  Sub-tiles the plan classified ``empty`` are skipped before any compute,
-  ``full`` sub-tiles run without mask handling, and a boolean tile is
-  materialised only for ``partial`` sub-tiles.  A
-  :class:`~repro.kernels.tileplan.KernelWorkspace` (``workspace=``)
-  additionally reuses the per-tile score/probability/grad scratch across
-  invocations.  Executed/skipped sub-tiles are tallied in
+  The plan classifies sub-tiles from the mask pattern without
+  materialising it; executed/skipped sub-tiles are tallied in
   :data:`repro.kernels.tileplan.counters`.
 * a dense boolean array (``mask=``) broadcastable to ``(..., Sq, Sk)`` —
-  the legacy baseline, kept for references, fuzzers and the bench
-  harness's dense-vs-planned comparison.
+  classified per sub-tile with ``all``/``any``.  Kept for references,
+  fuzzers and the bench harness's dense-vs-planned comparison.
 
-Both paths are algebraically exact and produce identical results to
-float64 precision; the plan path performs the same floating-point
-operations on non-empty tiles (a full tile's ``where`` over an all-``True``
-mask is the identity), so outputs are bitwise equal.  Peak temporary
-memory is ``O(block_q * block_k)`` instead of ``O(Sq * Sk)``.
+Only the slab columns of ``PARTIAL`` sub-tiles get a ``-inf`` fill; full
+sub-tiles take no mask pass at all.  A partial sub-tile whose boolean tile
+turns out empty (a conservative plan verdict) ends a run exactly as an
+``EMPTY`` one does, so both mask forms produce the same runs and
+bitwise-equal outputs.  Scratch is ``O(block_q * run width)`` score-shaped
+buffers per q-block (:func:`flash_scratch_bytes`), recorded on the
+``transient`` memory series once per kernel invocation.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels.softmax import NEG_INF, logsumexp, merge_lse
-from repro.kernels.tileplan import (
-    EMPTY,
-    PARTIAL,
-    KernelWorkspace,
-    TilePlan,
-    counters,
-)
+from repro.kernels.softmax import NEG_INF
+from repro.kernels.tileplan import EMPTY, FULL, PARTIAL, TilePlan, counters
+from repro.obs.mem import transient_scope
 from repro.obs.tracer import NOOP_SPAN, trace_span
 
 
 DEFAULT_BLOCK = 128
 
 
-def _mask_tile(
-    mask: np.ndarray | None, q0: int, q1: int, k0: int, k1: int
-) -> np.ndarray | None:
-    """Slice the last two axes of a broadcastable boolean mask."""
-    if mask is None:
-        return None
-    return mask[..., q0:q1, k0:k1]
+def flash_scratch_bytes(
+    batch: int, rows: int, width: int, backward: bool = False
+) -> int:
+    """Score-shaped float64 scratch one q-block holds at its widest run.
+
+    The forward keeps one ``(batch, rows, width)`` buffer (scores turned
+    into probabilities in place); the backward keeps two (probabilities
+    and ``dP``, which becomes ``dS`` in place).  The kernels size their
+    ``flash.fwd``/``flash.bwd`` transient scopes with this.
+    """
+    return (2 if backward else 1) * batch * rows * width * 8
 
 
-def _validate_plan(
-    plan: TilePlan | None,
-    sq: int,
-    sk: int,
-    mask: np.ndarray | None,
-    bias: np.ndarray | None,
-) -> None:
-    if plan is None:
-        return
-    if mask is not None or bias is not None:
-        raise ValueError(
-            "pass either plan= or dense mask=/bias=, not both"
+class _DenseTiles:
+    """A dense ``mask=``/``bias=`` pair seen through the tile interface of
+    :class:`TilePlan` (``states``, ``mask_tile``, ``bias_tile``)."""
+
+    def __init__(self, mask, bias, sq, sk, block_q, block_k):
+        self.block_q, self.block_k = block_q, block_k
+        self._mask, self._bias = mask, bias
+        self.states = np.full(
+            (-(-sq // block_q), -(-sk // block_k)), FULL, dtype=np.int8
         )
-    plan.check_geometry(sq, sk)
+        if mask is not None:
+            for i, j in np.ndindex(*self.states.shape):
+                m = self.mask_tile(i, j)
+                if not m.all():
+                    self.states[i, j] = PARTIAL if m.any() else EMPTY
+
+    def _tile(self, a, i, j):
+        bq, bk = self.block_q, self.block_k
+        return a[..., i * bq:(i + 1) * bq, j * bk:(j + 1) * bk]
+
+    def mask_tile(self, i, j):
+        return self._tile(self._mask, i, j)
+
+    def bias_tile(self, i, j):
+        return None if self._bias is None else self._tile(self._bias, i, j)
 
 
-def _resolve_subtile(plan: TilePlan, i: int, j: int, area: int):
-    """Plan lookup for one sub-tile: ``(skip, mask_tile, bias_tile)``,
-    with the execution counters updated (thread-safe via
-    :meth:`~repro.kernels.tileplan.TileCounters.add`)."""
-    state = plan.states[i, j]
-    if state == EMPTY:
-        counters.add("skipped_empty")
-        counters.add("skipped_pairs", area)
-        return True, None, None
-    if state == PARTIAL:
-        counters.add("computed_partial")
-        m = plan.mask_tile(i, j)
+def _resolve_runs(q, k, mask, scale, block_q, block_k, bias, plan):
+    """The preamble every flash entry point shares.
+
+    Returns ``(scale, block_q, runs)`` where ``runs[i]`` lists q-block
+    ``i``'s runs as ``(k0, k1, edits)``: the slab's token bounds and the
+    ``(offset, end, mask_tile, bias_tile)`` of every sub-tile inside it
+    that needs a bias add or a ``-inf`` fill.  A plan's sub-tile census
+    and bias lookups are accounted here, on the invoking thread.
+    """
+    if scale is None:
+        scale = 1.0 / np.sqrt(q.shape[-1])
+    sq, sk = q.shape[-2], k.shape[-2]
+    if plan is None:
+        tiles = _DenseTiles(mask, bias, sq, sk, block_q, block_k)
     else:
-        counters.add("computed_full")
-        m = None
-    counters.add("computed_pairs", area)
-    return False, m, plan.bias_tile(i, j)
+        if mask is not None or bias is not None:
+            raise ValueError(
+                "pass either plan= or dense mask=/bias=, not both"
+            )
+        plan.check_geometry(sq, sk)
+        tiles = plan
+    block_q, block_k = tiles.block_q, tiles.block_k
+    census = {EMPTY: 0, PARTIAL: 0, FULL: 0}
+    pairs = {EMPTY: 0, PARTIAL: 0, FULL: 0}
+    runs = []
+    for i, row in enumerate(tiles.states.tolist()):
+        rows = min(block_q, sq - i * block_q)
+        row_runs: list = []
+        for j, state in enumerate(row):
+            k0, k1 = j * block_k, min((j + 1) * block_k, sk)
+            census[state] += 1
+            pairs[state] += rows * (k1 - k0)
+            if state == EMPTY:
+                continue
+            b = tiles.bias_tile(i, j)
+            m = tiles.mask_tile(i, j) if state == PARTIAL else None
+            if m is not None and not m.any():
+                continue
+            if row_runs and row_runs[-1][1] == k0:
+                row_runs[-1][1] = k1
+            else:
+                row_runs.append([k0, k1, []])
+            if m is not None or b is not None:
+                start = row_runs[-1][0]
+                row_runs[-1][2].append((k0 - start, k1 - start, m, b))
+        runs.append(row_runs)
+    if plan is not None:
+        counters.add("computed_full", census[FULL])
+        counters.add("computed_partial", census[PARTIAL])
+        counters.add("skipped_empty", census[EMPTY])
+        counters.add("computed_pairs", pairs[FULL] + pairs[PARTIAL])
+        counters.add("skipped_pairs", pairs[EMPTY])
+    return scale, block_q, runs
+
+
+def _scores(q_blk, k, k0, k1, scale, edits):
+    """Scaled, biased, masked scores of one run: a single GEMM against
+    the contiguous key slab, then per-sub-tile bias adds and ``-inf``
+    fills only where a sub-tile needs them."""
+    s = np.matmul(q_blk, np.swapaxes(k[..., k0:k1, :], -1, -2))
+    s *= scale
+    for a, b, m, bias in edits:
+        if bias is not None:
+            s[..., a:b] += bias
+        if m is not None:
+            np.copyto(s[..., a:b], NEG_INF, where=~m)
+    return s
+
+
+def _scratch_scope(q, block_q, runs, rows, backward):
+    """One transient scope for q-blocks ``rows``, sized by
+    :func:`flash_scratch_bytes` at the widest run among them."""
+    batch = int(np.prod(q.shape[:-2], dtype=np.int64))
+    width = max((k1 - k0 for qi in rows for k0, k1, _ in runs[qi]), default=0)
+    nbytes = flash_scratch_bytes(
+        batch, min(block_q, q.shape[-2]), width, backward
+    )
+    site = "flash.bwd" if backward else "flash.fwd"
+    return transient_scope(nbytes, site=site)
+
+
+def _forward_rows(q, k, v, scale, block_q, runs, rows, o, lse) -> None:
+    """Forward over q-blocks ``rows``, writing their ``o``/``lse`` slices.
+
+    Q-blocks touch only their own output slices, so any partition of the
+    blocks across workers gives bitwise-identical results.
+    """
+    sq = q.shape[-2]
+    with _scratch_scope(q, block_q, runs, rows, backward=False):
+        for qi in rows:
+            q0, q1 = qi * block_q, min((qi + 1) * block_q, sq)
+            q_blk = q[..., q0:q1, :]
+            m = l = acc = None
+            for k0, k1, edits in runs[qi]:
+                s = _scores(q_blk, k, k0, k1, scale, edits)
+                m_new = s.max(axis=-1)
+                if m is not None:
+                    np.maximum(m, m_new, out=m_new)
+                # Rows with nothing allowed yet keep m = -inf; shift them
+                # by 0 so exp() sees -inf - 0 rather than -inf + inf.
+                m_safe = np.where(np.isneginf(m_new), 0.0, m_new)
+                s -= m_safe[..., None]
+                p = np.exp(s, out=s)
+                pv = np.matmul(p, v[..., k0:k1, :])
+                if acc is None:
+                    acc, l = pv, p.sum(axis=-1)
+                else:
+                    alpha = np.exp(m - m_safe)
+                    acc *= alpha[..., None]
+                    acc += pv
+                    l *= alpha
+                    l += p.sum(axis=-1)
+                m = m_new
+            if acc is None:  # the whole row of sub-tiles is empty
+                o[..., q0:q1, :] = 0.0
+                lse[..., q0:q1] = NEG_INF
+                continue
+            dead = np.isneginf(m)
+            if dead.any():
+                l[dead] = 1.0  # o stays 0 and lse = -inf + log(1)
+            o[..., q0:q1, :] = acc / l[..., None]
+            lse[..., q0:q1] = m + np.log(l)
+
+
+def _backward_rows(
+    q, k, v, lse, d_stat, do, scale, block_q, runs, rows, dq, dk=None,
+    dv=None,
+) -> list:
+    """Backward over q-blocks ``rows``, writing their ``dq`` slices.
+
+    With ``dk``/``dv`` given, each run's key/value gradient slab
+    accumulates in place.  Without them the slabs are returned as
+    ``[(k0, k1, dk_slab, dv_slab), ...]`` in q-block order, so a threaded
+    caller merging them in ascending q-block order reproduces the
+    sequential accumulation order on every ``dk``/``dv`` slice exactly.
+    """
+    sq = q.shape[-2]
+    slabs: list = []
+    with _scratch_scope(q, block_q, runs, rows, backward=True):
+        for qi in rows:
+            q0, q1 = qi * block_q, min((qi + 1) * block_q, sq)
+            if not runs[qi]:
+                dq[..., q0:q1, :] = 0.0
+                continue
+            q_blk = q[..., q0:q1, :]
+            do_blk = do[..., q0:q1, :]
+            d_blk = d_stat[..., q0:q1, None]
+            # Dead rows (lse = -inf) shift by +inf so every p is exactly 0.
+            lse_blk = lse[..., q0:q1]
+            lse_safe = np.where(np.isneginf(lse_blk), np.inf, lse_blk)
+            lse_safe = lse_safe[..., None]
+            dq_blk = None
+            for k0, k1, edits in runs[qi]:
+                k_s, v_s = k[..., k0:k1, :], v[..., k0:k1, :]
+                s = _scores(q_blk, k, k0, k1, scale, edits)
+                s -= lse_safe
+                p = np.exp(s, out=s)
+                dv_s = np.matmul(np.swapaxes(p, -1, -2), do_blk)
+                ds = np.matmul(do_blk, np.swapaxes(v_s, -1, -2))
+                ds -= d_blk
+                ds *= p
+                dq_s = np.matmul(ds, k_s)
+                dq_s *= scale
+                if dq_blk is None:
+                    dq_blk = dq_s
+                else:
+                    dq_blk += dq_s
+                dk_s = np.matmul(np.swapaxes(ds, -1, -2), q_blk)
+                dk_s *= scale
+                if dk is None:
+                    slabs.append((k0, k1, dk_s, dv_s))
+                else:
+                    dv[..., k0:k1, :] += dv_s
+                    dk[..., k0:k1, :] += dk_s
+            dq[..., q0:q1, :] = dq_blk
+    return slabs
 
 
 def flash_attention_forward(
@@ -101,136 +274,57 @@ def flash_attention_forward(
     block_k: int = DEFAULT_BLOCK,
     bias: np.ndarray | None = None,
     plan: TilePlan | None = None,
-    workspace: KernelWorkspace | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Tiled exact attention forward.
 
     Parameters mirror :func:`repro.kernels.attention_reference`; returns
-    the same ``(o, lse)`` pair.  ``block_q``/``block_k`` bound the size of
-    any temporary score tile (when ``plan`` is given, its block geometry
-    wins).  ``bias`` is an additive score term (ALiBi) broadcastable to
-    ``(..., Sq, Sk)``, tiled alongside the mask; with a plan, bias tiles
-    are resolved (and cached) per sub-tile instead.
+    the same ``(o, lse)`` pair.  ``block_q``/``block_k`` set the sub-tile
+    grid (when ``plan`` is given, its block geometry wins).  ``bias`` is
+    an additive score term (ALiBi) broadcastable to ``(..., Sq, Sk)``,
+    added per sub-tile alongside the mask; with a plan, bias tiles are
+    resolved (and cached) per sub-tile instead.
 
-    One ``flash.fwd`` span covers the whole invocation (never per
-    sub-tile — the inner loop stays bench-clean).
+    One ``flash.fwd`` span covers the whole invocation (never per run —
+    the inner loop stays bench-clean).
     """
     span = trace_span("flash.fwd", phase="compute", backend="reference")
     if span is NOOP_SPAN:
-        return _forward_tiles(
-            q, k, v, mask, scale, block_q, block_k, bias, plan, workspace
+        return forward_core(
+            q, k, v, mask, scale, block_q, block_k, bias, plan
         )
     with span:
         span["sq"], span["sk"] = int(q.shape[-2]), int(k.shape[-2])
         span["planned"] = plan is not None
-        return _forward_tiles(
-            q, k, v, mask, scale, block_q, block_k, bias, plan, workspace
+        return forward_core(
+            q, k, v, mask, scale, block_q, block_k, bias, plan
         )
 
 
-def _forward_q_block(
-    qi: int,
-    q0: int,
-    q1: int,
-    q: np.ndarray,
-    k: np.ndarray,
-    v: np.ndarray,
-    mask: np.ndarray | None,
-    scale: float,
-    block_k: int,
-    bias: np.ndarray | None,
-    plan: TilePlan | None,
-    ws: KernelWorkspace | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Inner key loop of the forward pass for one query block.
+def forward_core(q, k, v, mask, scale, block_q, block_k, bias, plan,
+                 map_rows=None):
+    """The forward every backend runs: resolve the runs once on this
+    thread, then :func:`_forward_rows` over all q-blocks — inline, or
+    through ``map_rows(fn, n_blocks)``, which must call ``fn`` on ranges
+    partitioning ``range(n_blocks)``."""
+    scale, block_q, runs = _resolve_runs(
+        q, k, mask, scale, block_q, block_k, bias, plan
+    )
+    o = np.empty(q.shape[:-1] + (v.shape[-1],), dtype=np.float64)
+    lse = np.empty(q.shape[:-1], dtype=np.float64)
 
-    This is the unit the threaded backend fans out across workers: each
-    query block touches only its own ``(o_blk, lse_blk)`` running state,
-    so any scheduling of blocks produces bitwise-identical results.
-    """
-    sk = k.shape[-2]
-    q_blk = q[..., q0:q1, :]
-    o_blk = np.zeros(q_blk.shape[:-1] + (v.shape[-1],), dtype=np.float64)
-    lse_blk = np.full(q_blk.shape[:-1], NEG_INF, dtype=np.float64)
-    for ki, k0 in enumerate(range(0, sk, block_k)):
-        k1 = min(k0 + block_k, sk)
-        if plan is not None:
-            skip, m, b = _resolve_subtile(
-                plan, qi, ki, (q1 - q0) * (k1 - k0)
-            )
-            if skip:
-                continue
-        else:
-            m = _mask_tile(mask, q0, q1, k0, k1)
-            b = _mask_tile(bias, q0, q1, k0, k1)
-        k_t = np.swapaxes(k[..., k0:k1, :], -1, -2)
-        # Scratch reuse is safe only while the score tile keeps the
-        # kernel's own batch shape; an additive bias may broadcast it
-        # wider, so biased tiles take the allocating path.
-        reuse = ws is not None and b is None
-        if reuse:
-            s = ws.matmul(q_blk, k_t, "fwd-s")
-            s *= scale
-        else:
-            s = np.matmul(q_blk, k_t) * scale
-        if b is not None:
-            s = s + b
-        if m is not None:
-            if plan is None and not m.any():
-                continue  # tile contributes nothing; skip (sparse speedup)
-            s = np.where(m, s, NEG_INF)
-        tile_lse = logsumexp(s, axis=-1)
-        new_lse = merge_lse(lse_blk, tile_lse)
-        new_safe = np.where(np.isneginf(new_lse), 0.0, new_lse)
-        # Rescale the running accumulator and add this tile's weighted
-        # values; unnormalised tile weights are exp(s - new_lse).
-        w_old = np.where(
-            np.isneginf(lse_blk), 0.0, np.exp(lse_blk - new_safe)
-        )[..., None]
-        p = np.exp(s - new_safe[..., None])
-        if m is not None:
-            p = np.where(m, p, 0.0)
-        p = np.where(np.isneginf(new_lse)[..., None], 0.0, p)
-        v_blk = v[..., k0:k1, :]
-        if reuse and p.shape[:-1] + (v_blk.shape[-1],) == o_blk.shape:
-            pv = ws.matmul(p, v_blk, "fwd-pv")
-            o_blk *= w_old
-            o_blk += pv
-        else:
-            o_blk = w_old * o_blk + np.matmul(p, v_blk)
-        lse_blk = new_lse
-    return o_blk, lse_blk
+    def fn(rows):
+        _forward_rows(q, k, v, scale, block_q, runs, rows, o, lse)
 
-
-def _forward_tiles(
-    q: np.ndarray,
-    k: np.ndarray,
-    v: np.ndarray,
-    mask: np.ndarray | None,
-    scale: float | None,
-    block_q: int,
-    block_k: int,
-    bias: np.ndarray | None,
-    plan: TilePlan | None,
-    workspace: KernelWorkspace | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    if scale is None:
-        scale = 1.0 / np.sqrt(q.shape[-1])
-    sq, sk = q.shape[-2], k.shape[-2]
-    _validate_plan(plan, sq, sk, mask, bias)
-    if plan is not None:
-        block_q, block_k = plan.block_q, plan.block_k
-    o = np.zeros(q.shape[:-1] + (v.shape[-1],), dtype=np.float64)
-    lse = np.full(q.shape[:-1], NEG_INF, dtype=np.float64)
-
-    for qi, q0 in enumerate(range(0, sq, block_q)):
-        q1 = min(q0 + block_q, sq)
-        o_blk, lse_blk = _forward_q_block(
-            qi, q0, q1, q, k, v, mask, scale, block_k, bias, plan, workspace
-        )
-        o[..., q0:q1, :] = o_blk
-        lse[..., q0:q1] = lse_blk
+    if map_rows is None:
+        fn(range(len(runs)))
+    else:
+        map_rows(fn, len(runs))
     return o, lse
+
+
+def row_stat(do: np.ndarray, o: np.ndarray) -> np.ndarray:
+    """FlashAttention's backward row statistic ``D = rowsum(dO * O)``."""
+    return np.sum(do * o, axis=-1)
 
 
 def flash_attention_backward(
@@ -246,20 +340,15 @@ def flash_attention_backward(
     block_k: int = DEFAULT_BLOCK,
     bias: np.ndarray | None = None,
     plan: TilePlan | None = None,
-    workspace: KernelWorkspace | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Tiled exact attention backward.
 
-    Uses the saved global ``lse`` to re-form each probability tile and the
+    Uses the saved global ``lse`` to re-form each probability slab and the
     FlashAttention identity ``dS = P * (dP - D)``.  Returns ``(dq, dk, dv)``.
     """
-    if scale is None:
-        scale = 1.0 / np.sqrt(q.shape[-1])
-    d_stat = np.sum(do * o, axis=-1)  # (..., Sq)
     return flash_backward_tiles(
-        q, k, v, lse, d_stat, do, mask=mask, scale=scale,
-        block_q=block_q, block_k=block_k, bias=bias,
-        plan=plan, workspace=workspace,
+        q, k, v, lse, row_stat(do, o), do, mask=mask, scale=scale,
+        block_q=block_q, block_k=block_k, bias=bias, plan=plan,
     )
 
 
@@ -276,9 +365,8 @@ def flash_backward_tiles(
     block_k: int = DEFAULT_BLOCK,
     bias: np.ndarray | None = None,
     plan: TilePlan | None = None,
-    workspace: KernelWorkspace | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Backward tile loop with caller-supplied row statistics.
+    """Backward with caller-supplied row statistics.
 
     This is the shared core of :func:`flash_attention_backward` (which
     derives ``D = rowsum(dO * O)`` itself) and BurstAttention's
@@ -289,152 +377,46 @@ def flash_backward_tiles(
     """
     span = trace_span("flash.bwd", phase="compute", backend="reference")
     if span is NOOP_SPAN:
-        return _backward_tiles(
-            q, k, v, lse, d_stat, do, mask, scale, block_q, block_k,
-            bias, plan, workspace,
+        return backward_core(
+            q, k, v, lse, d_stat, do, mask, scale, block_q, block_k, bias,
+            plan,
         )
     with span:
         span["sq"], span["sk"] = int(q.shape[-2]), int(k.shape[-2])
         span["planned"] = plan is not None
-        return _backward_tiles(
-            q, k, v, lse, d_stat, do, mask, scale, block_q, block_k,
-            bias, plan, workspace,
+        return backward_core(
+            q, k, v, lse, d_stat, do, mask, scale, block_q, block_k, bias,
+            plan,
         )
 
 
-def _backward_q_block(
-    qi: int,
-    q0: int,
-    q1: int,
-    q: np.ndarray,
-    k: np.ndarray,
-    v: np.ndarray,
-    lse: np.ndarray,
-    d_stat: np.ndarray,
-    do: np.ndarray,
-    mask: np.ndarray | None,
-    scale: float,
-    block_k: int,
-    bias: np.ndarray | None,
-    plan: TilePlan | None,
-    ws: KernelWorkspace | None,
-    dk: np.ndarray | None = None,
-    dv: np.ndarray | None = None,
-) -> tuple[np.ndarray, list]:
-    """Inner key loop of the backward pass for one query block.
-
-    With ``dk``/``dv`` given, per-tile key/value gradients accumulate in
-    place (the sequential path).  Without them, the tiles are returned as
-    ``[(k0, k1, dk_tile, dv_tile), ...]`` so a threaded caller can merge
-    them on one thread in ascending ``qi`` order — reproducing the
-    sequential accumulation order on every ``dk``/``dv`` slice exactly,
-    which is what keeps the threaded backend bitwise-identical.
-    Returned tiles are copies when they alias workspace scratch.
-    """
-    sk = k.shape[-2]
-    collect = dk is None
-    tiles: list = []
-    q_blk = q[..., q0:q1, :]
-    do_blk = do[..., q0:q1, :]
-    lse_blk = lse[..., q0:q1]
-    d_blk = d_stat[..., q0:q1]
-    lse_safe = np.where(np.isneginf(lse_blk), 0.0, lse_blk)[..., None]
-    dead = np.isneginf(lse_blk)[..., None]
-    dq_blk = np.zeros_like(q_blk)
-    for ki, k0 in enumerate(range(0, sk, block_k)):
-        k1 = min(k0 + block_k, sk)
-        if plan is not None:
-            skip, m, b = _resolve_subtile(
-                plan, qi, ki, (q1 - q0) * (k1 - k0)
-            )
-            if skip:
-                continue
-        else:
-            m = _mask_tile(mask, q0, q1, k0, k1)
-            if m is not None and not m.any():
-                continue
-            b = _mask_tile(bias, q0, q1, k0, k1)
-        k_blk = k[..., k0:k1, :]
-        v_blk = v[..., k0:k1, :]
-        reuse = ws is not None and b is None
-        if reuse:
-            s = ws.matmul(q_blk, np.swapaxes(k_blk, -1, -2), "bwd-s")
-            s *= scale
-        else:
-            s = np.matmul(q_blk, np.swapaxes(k_blk, -1, -2)) * scale
-        if b is not None:
-            s = s + b
-        if m is not None:
-            s = np.where(m, s, NEG_INF)
-        p = np.exp(s - lse_safe)
-        p = np.where(dead, 0.0, p)
-        if m is not None:
-            p = np.where(m, p, 0.0)
-        p_t = np.swapaxes(p, -1, -2)
-        if reuse:
-            dv_tile = ws.matmul(p_t, do_blk, "bwd-dv")
-            if collect:
-                dv_tile = dv_tile.copy()
-            else:
-                dv[..., k0:k1, :] += dv_tile
-            dp = ws.matmul(do_blk, np.swapaxes(v_blk, -1, -2), "bwd-dp")
-            np.subtract(dp, d_blk[..., None], out=dp)
-            dp *= p
-            ds = dp
-            dq_tile = ws.matmul(ds, k_blk, "bwd-dq")
-            dq_tile *= scale
-            dq_blk += dq_tile
-            dk_tile = ws.matmul(np.swapaxes(ds, -1, -2), q_blk, "bwd-dk")
-            dk_tile *= scale
-            if collect:
-                tiles.append((k0, k1, dk_tile.copy(), dv_tile))
-            else:
-                dk[..., k0:k1, :] += dk_tile
-        else:
-            dv_tile = np.matmul(p_t, do_blk)
-            if not collect:
-                dv[..., k0:k1, :] += dv_tile
-            dp = np.matmul(do_blk, np.swapaxes(v_blk, -1, -2))
-            ds = p * (dp - d_blk[..., None])
-            dq_blk += np.matmul(ds, k_blk) * scale
-            dk_tile = np.matmul(np.swapaxes(ds, -1, -2), q_blk) * scale
-            if collect:
-                tiles.append((k0, k1, dk_tile, dv_tile))
-            else:
-                dk[..., k0:k1, :] += dk_tile
-    return dq_blk, tiles
-
-
-def _backward_tiles(
-    q: np.ndarray,
-    k: np.ndarray,
-    v: np.ndarray,
-    lse: np.ndarray,
-    d_stat: np.ndarray,
-    do: np.ndarray,
-    mask: np.ndarray | None,
-    scale: float | None,
-    block_q: int,
-    block_k: int,
-    bias: np.ndarray | None,
-    plan: TilePlan | None,
-    workspace: KernelWorkspace | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    if scale is None:
-        scale = 1.0 / np.sqrt(q.shape[-1])
-    sq, sk = q.shape[-2], k.shape[-2]
-    _validate_plan(plan, sq, sk, mask, bias)
-    if plan is not None:
-        block_q, block_k = plan.block_q, plan.block_k
-    dq = np.zeros_like(q)
+def backward_core(q, k, v, lse, d_stat, do, mask, scale, block_q, block_k,
+                  bias, plan, map_rows=None):
+    """The backward every backend runs.  Inline, ``dk``/``dv`` slabs
+    accumulate in place; through ``map_rows`` (which must return ``fn``'s
+    results in ascending range order) each range's slabs are collected
+    and folded here in ascending q-block order — the inline fold order,
+    so both give bitwise-equal gradients."""
+    scale, block_q, runs = _resolve_runs(
+        q, k, mask, scale, block_q, block_k, bias, plan
+    )
+    dq = np.empty_like(q)
     dk = np.zeros_like(k)
     dv = np.zeros_like(v)
-
-    for qi, q0 in enumerate(range(0, sq, block_q)):
-        q1 = min(q0 + block_q, sq)
-        dq_blk, _ = _backward_q_block(
-            qi, q0, q1, q, k, v, lse, d_stat, do, mask, scale, block_k,
-            bias, plan, workspace, dk=dk, dv=dv,
+    if map_rows is None:
+        _backward_rows(
+            q, k, v, lse, d_stat, do, scale, block_q, runs,
+            range(len(runs)), dq, dk, dv,
         )
-        dq[..., q0:q1, :] = dq_blk
+        return dq, dk, dv
+
+    def fn(rows):
+        return _backward_rows(
+            q, k, v, lse, d_stat, do, scale, block_q, runs, rows, dq
+        )
+
+    for slabs in map_rows(fn, len(runs)):
+        for k0, k1, dk_s, dv_s in slabs:
+            dv[..., k0:k1, :] += dv_s
+            dk[..., k0:k1, :] += dk_s
     return dq, dk, dv

@@ -13,10 +13,6 @@ the mask structure *into* the kernel:
   the two shards, reusing the pattern's ``tile_state`` fast path.  The
   dense boolean mask is never materialised; boolean tiles are built lazily
   and only for ``partial`` sub-tiles.
-* :class:`KernelWorkspace` preallocates the per-tile scratch buffers
-  (score, probability, grad tiles) so a ring pass reuses one set of
-  buffers across all of its kernel invocations instead of allocating per
-  sub-tile.
 * :class:`BiasTileCache` memoises additive-bias tiles (ALiBi) across ring
   steps: the bias depends only on relative offsets, so contiguous tiles
   with the same ``q0 - k0`` offset and shape share one tile no matter
@@ -26,17 +22,18 @@ the mask structure *into* the kernel:
   (``python -m repro.perf.bench``) and the tile-count invariants in
   :mod:`repro.testing.invariants` consume.
 
-The plan-driven kernels are numerically identical to the dense-mask
-kernels (full tiles drop the ``where`` that a dense all-``True`` tile
-would no-op through; empty tiles contribute nothing either way), which the
+The flash kernels classify a dense ``mask=`` into the same states and
+run both through one core (runs of non-empty sub-tiles, one GEMM per
+run), so plan-driven and dense-mask outputs are bitwise equal, which the
 golden fixtures and the property tests assert.  ``use_planning(False)``
-restores the legacy dense-tile resolution — the bench harness times it as
-the baseline.
+restores the legacy dense shard-mask resolution — the bench harness times
+it as the baseline.  The kernels resolve plans and account tiles on the
+invoking thread only; the threaded backend's workers never touch a plan
+or the counters.
 """
 
 from __future__ import annotations
 
-import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -79,13 +76,8 @@ class TileCounters:
     one for the module singleton), so ``counters.computed_full += n``
     keeps working verbatim while ``repro.obs`` sees the same numbers.
 
-    Thread safety: the kernels account their work through :meth:`add`,
-    which writes straight to the backing counter on the main thread but
-    into a *thread-local* buffer inside a :meth:`deferred` scope.  The
-    threaded backend wraps each worker task in ``deferred()``, so
-    concurrent sub-tile tallies never race on ``Counter._value``; the
-    buffered deltas are merged under a lock when the scope exits.  The
-    ``counters.field += n`` property idiom remains main-thread-only.
+    The kernels account their work through :meth:`add`, always on the
+    thread that invoked the kernel (never from a worker thread).
     """
 
     def __init__(self, registry: MetricsRegistry | None = None):
@@ -94,38 +86,10 @@ class TileCounters:
         self._backing = {
             name: registry.counter(f"tileplan.{name}") for name in _TILE_FIELDS
         }
-        self._merge_lock = threading.Lock()
-        self._local = threading.local()
 
     def add(self, name: str, n: int = 1) -> None:
-        """Account ``n`` into field ``name`` (thread-safe inside
-        ``deferred()`` scopes; direct counter write otherwise)."""
-        buf = getattr(self._local, "buf", None)
-        if buf is not None:
-            buf[name] += n
-        else:
-            self._backing[name]._value += n
-
-    @contextmanager
-    def deferred(self):
-        """Buffer this thread's increments; merge under a lock on exit.
-
-        Worker threads of the threaded kernel backend run their whole
-        task inside one ``deferred()`` scope — per-thread accumulation
-        merged on scope exit, so totals are exact regardless of how the
-        q-blocks were scheduled.
-        """
-        prev = getattr(self._local, "buf", None)
-        buf = dict.fromkeys(_TILE_FIELDS, 0)
-        self._local.buf = buf
-        try:
-            yield
-        finally:
-            self._local.buf = prev
-            with self._merge_lock:
-                for name, delta in buf.items():
-                    if delta:
-                        self._backing[name]._value += delta
+        """Account ``n`` into field ``name``."""
+        self._backing[name]._value += n
 
     @contextmanager
     def backend_scope(self, backend: str):
@@ -135,9 +99,7 @@ class TileCounters:
         Reads the unlabeled totals before/after and adds the delta under
         a ``backend=<name>`` label, so ``repro.obs`` can break tile
         counts down per backend while the unlabeled fast path stays a
-        single attribute add.  Only the invoking (main) thread may hold
-        a backend scope; worker threads merge into the totals before the
-        invocation returns, so their work is attributed correctly.
+        single attribute add.
         """
         before = [self._backing[f]._value for f in _TILE_FIELDS]
         try:
@@ -224,14 +186,6 @@ def use_planning(enabled: bool = True):
 # --- bias tile cache ----------------------------------------------------------
 
 
-def _is_contiguous(idx: np.ndarray) -> bool:
-    if len(idx) == 0:
-        return False
-    if int(idx[-1]) - int(idx[0]) != len(idx) - 1:
-        return False
-    return len(idx) == 1 or bool((np.diff(idx) == 1).all())
-
-
 class BiasTileCache:
     """Memoises additive-bias tiles across ring steps.
 
@@ -243,10 +197,6 @@ class BiasTileCache:
 
     def __init__(self):
         self._tiles: dict = {}
-        # Serialises concurrent lookups from threaded-backend workers so
-        # built/reused tallies stay deterministic (first miss builds,
-        # everyone else reuses) and the dict is never mutated mid-read.
-        self._lock = threading.Lock()
 
     def get(
         self, mask: MaskPattern, q_idx: np.ndarray, k_idx: np.ndarray
@@ -255,14 +205,13 @@ class BiasTileCache:
         if key is None:
             counters.add("bias_tiles_built")
             return mask.bias_block(q_idx, k_idx)
-        with self._lock:
-            tile = self._tiles.get(key)
-            if tile is None:
-                tile = mask.bias_block(q_idx, k_idx)
-                self._tiles[key] = tile
-                counters.add("bias_tiles_built")
-            else:
-                counters.add("bias_tiles_reused")
+        tile = self._tiles.get(key)
+        if tile is None:
+            tile = mask.bias_block(q_idx, k_idx)
+            self._tiles[key] = tile
+            counters.add("bias_tiles_built")
+        else:
+            counters.add("bias_tiles_reused")
         return tile
 
     def __len__(self) -> int:
@@ -282,9 +231,10 @@ class TilePlan:
 
     Built once per shard pair per pass; consumed by
     :func:`repro.kernels.flash_attention_forward` /
-    :func:`~repro.kernels.flash_attention_backward`, which skip ``EMPTY``
-    sub-tiles, run ``FULL`` sub-tiles without any mask handling, and
-    materialise a boolean tile only for ``PARTIAL`` sub-tiles.
+    :func:`~repro.kernels.flash_attention_backward`, which batch each
+    row's maximal stretch of non-``EMPTY`` sub-tiles into one GEMM, run
+    ``FULL`` sub-tiles without any mask handling, and materialise a
+    boolean tile only for ``PARTIAL`` sub-tiles.
     """
 
     mask: MaskPattern | None
@@ -380,9 +330,7 @@ class TilePlan:
         """Boolean tile for a ``PARTIAL`` sub-tile (the only kind that
         ever materialises one).  Memoised so the backward pass (and any
         repeated traversal) reuses the forward's tiles instead of
-        re-evaluating the pattern.  Safe under concurrent workers: a
-        duplicated miss builds the same deterministic tile twice and the
-        last dict write wins."""
+        re-evaluating the pattern."""
         tile = self._mask_tiles.get((i, j))
         if tile is None:
             q0, q1 = self._q_bounds[i]
@@ -460,48 +408,3 @@ def record_shard_skip(n_q: int, n_k: int, block_q: int, block_k: int) -> None:
     n_kb = -(-n_k // block_k)
     counters.add("skipped_empty", n_qb * n_kb)
     counters.add("skipped_pairs", n_q * n_k)
-
-
-# --- reusable kernel scratch --------------------------------------------------
-
-
-class KernelWorkspace:
-    """Preallocated scratch buffers keyed by ``(name, shape, dtype)``.
-
-    One workspace is created per distributed pass (or per autograd node)
-    and handed to every kernel invocation, so the score/probability/grad
-    tiles are allocated once and reused across sub-tiles, ring steps and
-    ranks instead of churning ``O(tiles)`` temporaries.  All writes fully
-    overwrite a buffer before it is read, so reuse never leaks state.
-    """
-
-    def __init__(self):
-        self._bufs: dict = {}
-
-    def buf(self, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
-        key = (name, tuple(shape), np.dtype(dtype).str)
-        buf = self._bufs.get(key)
-        if buf is None:
-            buf = np.empty(shape, dtype=dtype)
-            self._bufs[key] = buf
-            from repro.obs.mem import transient_alloc
-
-            # Account the miss on the transient watermark series; cached
-            # buffers live for the workspace's lifetime, so the handle is
-            # intentionally never freed (reset_transients() drops it).
-            transient_alloc(buf.nbytes, site=f"workspace.{name}")
-        return buf
-
-    def matmul(self, a: np.ndarray, b: np.ndarray, name: str) -> np.ndarray:
-        """``a @ b`` into a reused buffer of the broadcast result shape."""
-        shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (
-            a.shape[-2], b.shape[-1]
-        )
-        return np.matmul(a, b, out=self.buf(name, shape))
-
-    @property
-    def nbytes(self) -> int:
-        return sum(b.nbytes for b in self._bufs.values())
-
-    def __len__(self) -> int:
-        return len(self._bufs)

@@ -21,7 +21,6 @@ import numpy as np
 
 from repro.kernels import (
     BiasTileCache,
-    KernelWorkspace,
     TilePlan,
     get_backend,
     planning_enabled,
@@ -108,7 +107,6 @@ class FlashAttentionFn(Function):
         self.mask_dense = dense
         self.bias_dense = dense_bias
         self.plan = plan
-        self.workspace = KernelWorkspace()
         self.scale = scale
         self.block_size = block_size
 
@@ -138,7 +136,7 @@ class FlashAttentionFn(Function):
                 o_front, lse_front = get_backend().flash_forward(
                     q[..., :split, :], k, v, mask=front_mask, scale=scale,
                     block_q=block_size, block_k=block_size, bias=front_bias,
-                    plan=front_plan, workspace=self.workspace,
+                    plan=front_plan,
                 )
             get_tracker().add_recompute_flops(
                 _attention_flops(_mask_pairs(mask, split, s), heads, head_dim)
@@ -149,7 +147,7 @@ class FlashAttentionFn(Function):
             o, lse = get_backend().flash_forward(
                 q, k, v, mask=dense, scale=scale,
                 block_q=block_size, block_k=block_size, bias=dense_bias,
-                plan=plan, workspace=self.workspace,
+                plan=plan,
             )
             if in_recompute():
                 get_tracker().add_recompute_flops(
@@ -182,7 +180,7 @@ class FlashAttentionFn(Function):
             mask=self.mask_dense, scale=self.scale,
             block_q=self.block_size, block_k=self.block_size,
             bias=self.bias_dense,
-            plan=self.plan, workspace=self.workspace,
+            plan=self.plan,
         )
         if self.groups > 1:
             dk = fold_kv_grad(dk, self.groups)

@@ -17,9 +17,9 @@ into an *observable* signal:
   the span rows in Perfetto.
 * **Two series.**  ``saved`` is the autograd persistent set (what
   checkpointing trades against recomputation); ``transient`` is kernel
-  scratch — per-worker :class:`~repro.kernels.tileplan.KernelWorkspace`
-  buffers and the chunked SwiGLU backward's working set — so observed
-  transients can be pinned against
+  scratch — the flash kernels' per-invocation scopes and the chunked
+  SwiGLU backward's working set — so observed transients can be pinned
+  against :func:`repro.kernels.flash.flash_scratch_bytes` and
   :func:`repro.perf.memory.swiglu_chunked_transient_bytes`.
 * **Attribution.**  :func:`peak_attribution` sweeps a timeline to name
   the span/layer/phase owning the global peak plus a top-K table of the
@@ -335,8 +335,8 @@ def transient_alloc(nbytes: int, site: str = "kernel") -> int:
 
     Backed by the ``memory.transient_bytes`` / ``memory.peak_transient_bytes``
     gauges and recorded on the active timeline as the ``transient``
-    series.  Thread-safe (worker threads of the threaded backend allocate
-    their workspaces concurrently).
+    series.  Thread-safe (worker threads of the threaded backend open
+    their scopes concurrently).
     """
     global _TRANSIENT_NEXT
     current_g, peak_g = _transient_gauges()
@@ -354,7 +354,7 @@ def transient_alloc(nbytes: int, site: str = "kernel") -> int:
 
 def transient_free(handle: int) -> None:
     """Release a :func:`transient_alloc` handle (unknown handles ignored:
-    workspaces may outlive a per-step :func:`reset_transients`)."""
+    a scope may outlive a per-step :func:`reset_transients`)."""
     current_g, _ = _transient_gauges()
     with _TRANSIENT_LOCK:
         entry = _TRANSIENT_LIVE.pop(handle, None)

@@ -37,7 +37,6 @@ from repro.comm import SimCommunicator
 from repro.topology import make_cluster
 from repro.kernels import (
     BiasTileCache,
-    KernelWorkspace,
     TilePlan,
     counters,
     get_backend,
@@ -101,11 +100,10 @@ def _time_kernel_pass(q, k, v, do, mask, case, *, planned: bool, repeats: int):
             plan = TilePlan.build(
                 mask, idx, idx, blk, blk, bias_cache=BiasTileCache()
             )
-            ws = KernelWorkspace()
             backend = get_backend()
-            o, lse = backend.flash_forward(q, k, v, plan=plan, workspace=ws)
+            o, lse = backend.flash_forward(q, k, v, plan=plan)
             grads = backend.flash_backward(
-                q, k, v, o, lse, do, plan=plan, workspace=ws
+                q, k, v, o, lse, do, plan=plan
             )
         else:
             dense = mask.dense(s)
@@ -189,13 +187,12 @@ def run_backends_suite(smoke: bool, repeats: int) -> list[dict]:
         backend = get_backend(name)
         best_f = best_fb = float("inf")
         for _ in range(repeats):
-            ws = KernelWorkspace()
             t0 = time.perf_counter()
-            o, lse = backend.flash_forward(q, k, v, plan=plan, workspace=ws)
+            o, lse = backend.flash_forward(q, k, v, plan=plan)
             fwd = time.perf_counter() - t0
             t0 = time.perf_counter()
             grads = backend.flash_backward(
-                q, k, v, o, lse, do, plan=plan, workspace=ws
+                q, k, v, o, lse, do, plan=plan
             )
             bwd = time.perf_counter() - t0
             best_f = min(best_f, fwd)

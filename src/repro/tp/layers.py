@@ -20,7 +20,6 @@ import numpy as np
 
 from repro.comm import SimCommunicator
 from repro.kernels import (
-    KernelWorkspace,
     TilePlan,
     get_backend,
     planning_enabled,
@@ -148,7 +147,6 @@ class TPAttentionFn(Function):
         self.geom = (s, d, n_heads, hd, hh, scale, block_size)
         self.mask_dense = dense
         self.plan = plan
-        self.workspace = KernelWorkspace()
 
         wq_s, wk_s, wv_s = shard_rows(wq, g), shard_rows(wk, g), shard_rows(wv, g)
         wo_s = shard_columns(wo, g)
@@ -160,7 +158,7 @@ class TPAttentionFn(Function):
             o_r, lse_r = get_backend().flash_forward(
                 q_r, k_r, v_r, mask=dense, scale=scale,
                 block_q=block_size, block_k=block_size,
-                plan=plan, workspace=self.workspace,
+                plan=plan,
             )
             o_flat = o_r.swapaxes(0, 1).reshape(s, hh * hd)
             qs.append(q_r); ks.append(k_r); vs.append(v_r)
@@ -188,7 +186,7 @@ class TPAttentionFn(Function):
                 qs[r], ks[r], vs[r], os_[r], lses[r], do_r,
                 mask=self.mask_dense, scale=scale,
                 block_q=block_size, block_k=block_size,
-                plan=self.plan, workspace=self.workspace,
+                plan=self.plan,
             )
             dq_f = dq_r.swapaxes(0, 1).reshape(s, hh * hd)
             dk_f = dk_r.swapaxes(0, 1).reshape(s, hh * hd)

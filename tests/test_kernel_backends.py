@@ -17,7 +17,6 @@ import pytest
 
 import repro.kernels.backend as backend_mod
 from repro.kernels import (
-    KernelWorkspace,
     ReferenceBackend,
     ThreadedBackend,
     TilePlan,
@@ -84,9 +83,8 @@ def _qkvdo(rng, heads, seq, dim):
 
 
 def _run_flash(backend, q, k, v, do, **kw):
-    ws = KernelWorkspace()
-    o, lse = backend.flash_forward(q, k, v, workspace=ws, **kw)
-    dq, dk, dv = backend.flash_backward(q, k, v, o, lse, do, workspace=ws, **kw)
+    o, lse = backend.flash_forward(q, k, v, **kw)
+    dq, dk, dv = backend.flash_backward(q, k, v, o, lse, do, **kw)
     return o, lse, dq, dk, dv
 
 

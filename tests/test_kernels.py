@@ -219,3 +219,129 @@ class TestFlashAttention:
         )
         np.testing.assert_allclose(o, o_ref, rtol=1e-9, atol=1e-11)
         np.testing.assert_allclose(lse, lse_ref, rtol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# edge cases of the flash core, on every mask path and backend
+# ---------------------------------------------------------------------------
+
+EDGE_PATHS = [
+    (path, backend)
+    for path in ("dense", "plan")
+    for backend in ("reference", "threaded")
+]
+
+
+def _edge_run(path, backend_name, q, k, v, do, mask, q_idx, k_idx, block):
+    """fwd+bwd through one backend with the mask given as ``mask=`` or as
+    a :class:`TilePlan`, with every warning promoted to an error and every
+    floating-point error raising except underflow (``exp`` of a score far
+    below the row maximum rounding to 0 is the expected result)."""
+    import warnings
+
+    from repro.kernels import TilePlan, get_backend
+
+    if path == "dense":
+        kw = {"mask": mask.block(q_idx, k_idx), "block_q": block,
+              "block_k": block}
+    else:
+        kw = {"plan": TilePlan.build(mask, q_idx, k_idx, block, block)}
+    backend = get_backend(backend_name)
+    with warnings.catch_warnings(), np.errstate(all="raise", under="ignore"):
+        warnings.simplefilter("error")
+        o, lse = backend.flash_forward(q, k, v, **kw)
+        grads = backend.flash_backward(q, k, v, o, lse, do, **kw)
+    return (o, lse, *grads)
+
+
+def _edge_reference(q, k, v, do, dense):
+    o, lse = attention_reference(q, k, v, mask=dense)
+    return (o, lse, *attention_reference_backward(q, k, v, o, lse, do,
+                                                  mask=dense))
+
+
+def _assert_matches_reference(got, want, score_scale=1.0):
+    """``score_scale`` widens ``atol``: the float64 reference's own
+    gradient error grows with the magnitude of the scores."""
+    for name, a, b in zip(("o", "lse", "dq", "dk", "dv"), got, want):
+        np.testing.assert_allclose(a, b, rtol=1e-9,
+                                   atol=1e-11 * score_scale, err_msg=name)
+
+
+@pytest.mark.parametrize("path,backend", EDGE_PATHS)
+class TestFlashEdgeCases:
+    def test_dead_query_rows_of_a_striped_pair(self, path, backend):
+        """Query shard 0 vs key shard 2 of a striped causal split: global
+        query 0 sees no key at all.  Its row must come out as the empty
+        state exactly (o = 0, lse = -inf, dq = 0), everything else finite."""
+        from repro.partition import StripedPartitioner
+
+        idxs = StripedPartitioner().indices(256, 4)
+        q_idx, k_idx = idxs[0], idxs[2]
+        rng = np.random.default_rng(0)
+        q, do = (rng.normal(size=(2, len(q_idx), 8)) for _ in range(2))
+        k, v = (rng.normal(size=(2, len(k_idx), 8)) for _ in range(2))
+        mask = CausalMask()
+        o, lse, dq, dk, dv = _edge_run(
+            path, backend, q, k, v, do, mask, q_idx, k_idx, 16
+        )
+        dead = ~mask.block(q_idx, k_idx).any(axis=-1)
+        assert dead.any() and not dead.all()
+        assert (o[:, dead] == 0.0).all()
+        assert np.isneginf(lse[:, dead]).all()
+        assert (dq[:, dead] == 0.0).all()
+        assert np.isfinite(lse[:, ~dead]).all()
+        for a in (o, dq, dk, dv):
+            assert np.isfinite(a).all()
+        _assert_matches_reference(
+            (o, lse, dq, dk, dv),
+            _edge_reference(q, k, v, do, mask.block(q_idx, k_idx)),
+        )
+
+    def test_large_scores_stay_finite(self, path, backend):
+        rng = np.random.default_rng(1)
+        n = 64
+        q, k, v, do = (rng.normal(size=(2, n, 8)) for _ in range(4))
+        q = q * 300.0
+        idx = np.arange(n)
+        mask = CausalMask()
+        got = _edge_run(path, backend, q, k, v, do, mask, idx, idx, 16)
+        for a in (got[0], got[2], got[3], got[4]):
+            assert np.isfinite(a).all()
+        _assert_matches_reference(
+            got, _edge_reference(q, k, v, do, mask.dense(n)),
+            score_scale=300.0,
+        )
+
+    @pytest.mark.parametrize("sq,sk", [(70, 70), (40, 20)],
+                             ids=["ragged-last-block", "sk-below-block"])
+    def test_ragged_blocks(self, path, backend, sq, sk):
+        rng = np.random.default_rng(2)
+        q, do = (rng.normal(size=(2, sq, 8)) for _ in range(2))
+        k, v = (rng.normal(size=(2, sk, 8)) for _ in range(2))
+        q_idx, k_idx = np.arange(sq), np.arange(sk)
+        mask = CausalMask()
+        got = _edge_run(path, backend, q, k, v, do, mask, q_idx, k_idx, 32)
+        _assert_matches_reference(
+            got, _edge_reference(q, k, v, do, mask.block(q_idx, k_idx))
+        )
+
+    def test_row_with_two_runs(self, path, backend):
+        """Non-empty k-blocks of the last q-block form two runs split by
+        an empty block, so the running max is rescaled across runs."""
+        from repro.kernels import EMPTY, TilePlan
+        from repro.masks import BlockSparseMask
+
+        block_mask = np.tril(np.ones((4, 4), dtype=bool))
+        block_mask[3, 1] = False
+        mask = BlockSparseMask(16, block_mask)
+        n = 64
+        idx = np.arange(n)
+        row = TilePlan.build(mask, idx, idx, 16, 16).states[3]
+        assert list(row != EMPTY) == [True, False, True, True]
+        rng = np.random.default_rng(3)
+        q, k, v, do = (rng.normal(size=(2, n, 8)) for _ in range(4))
+        got = _edge_run(path, backend, q, k, v, do, mask, idx, idx, 16)
+        _assert_matches_reference(
+            got, _edge_reference(q, k, v, do, mask.dense(n))
+        )

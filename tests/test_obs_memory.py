@@ -318,6 +318,35 @@ def test_chunked_mlp_transient_site_matches_closed_form():
     assert observed == 327_680
 
 
+def test_flash_scratch_transient_sites_match_closed_form():
+    """A planned causal fwd+bwd records its scratch on the ``transient``
+    series as one ``flash.fwd``/``flash.bwd`` scope per invocation, sized
+    by the closed form the core uses (widest run: the last q-block's)."""
+    import numpy as np
+
+    from repro.kernels import TilePlan, use_backend
+    from repro.kernels.flash import flash_scratch_bytes
+    from repro.masks import CausalMask
+
+    heads, n, d, block = 2, 256, 8, 64
+    rng = np.random.default_rng(0)
+    q, k, v, do = (rng.normal(size=(heads, n, d)) for _ in range(4))
+    idx = np.arange(n)
+    plan = TilePlan.build(CausalMask(), idx, idx, block, block)
+    reset_tracker()
+    with use_backend("reference") as backend, use_memory_timeline() as tl:
+        o, lse = backend.flash_forward(q, k, v, plan=plan)
+        backend.flash_backward(q, k, v, o, lse, do, plan=plan)
+    events = tl.events()
+    fwd = _site_peak(events, "flash.fwd")
+    bwd = _site_peak(events, "flash.bwd")
+    assert fwd == flash_scratch_bytes(heads, block, n) == 262_144
+    assert bwd == flash_scratch_bytes(heads, block, n, backward=True)
+    assert bwd == 2 * fwd
+    gauge = get_registry().gauge("memory.transient_bytes")
+    assert gauge.value() == 0.0, "flash scopes must release on exit"
+
+
 def test_transient_scope_accounting():
     reset_tracker()
     with use_memory_timeline() as timeline:

@@ -1,7 +1,7 @@
 """Tile planning: plan-driven kernels vs the dense-mask reference.
 
 The TilePlan path changes *how* the flash kernels see the mask (per-block
-classification, lazy partial tiles, skipped empties, workspace reuse) but
+classification, lazy partial tiles, skipped empties) but
 must not change a single bit of the numerics.  These tests pin that:
 
 * property tests draw random ``BlockSparseMask`` configurations and
@@ -23,7 +23,6 @@ from repro.kernels import (
     FULL,
     PARTIAL,
     BiasTileCache,
-    KernelWorkspace,
     TilePlan,
     counters,
     flash_attention_backward,
@@ -58,10 +57,9 @@ def _run_both(q, k, v, do, mask, q_idx, k_idx, block_q, block_k):
     plan = TilePlan.build(
         mask, q_idx, k_idx, block_q, block_k, bias_cache=BiasTileCache()
     )
-    ws = KernelWorkspace()
-    o1, l1 = flash_attention_forward(q, k, v, plan=plan, workspace=ws)
+    o1, l1 = flash_attention_forward(q, k, v, plan=plan)
     g1 = flash_attention_backward(
-        q, k, v, o1, l1, do, plan=plan, workspace=ws
+        q, k, v, o1, l1, do, plan=plan
     )
     return (o0, l0, *g0), (o1, l1, *g1), plan
 
@@ -223,10 +221,9 @@ class TestSkipAccounting:
         q, k, v, do = (rng.normal(size=(2, n, 16)) for _ in range(4))
         idx = np.arange(n)
         plan = TilePlan.build(CausalMask(), idx, idx, 64, 64)
-        ws = KernelWorkspace()
         counters.reset()
-        o, lse = flash_attention_forward(q, k, v, plan=plan, workspace=ws)
-        flash_attention_backward(q, k, v, o, lse, do, plan=plan, workspace=ws)
+        o, lse = flash_attention_forward(q, k, v, plan=plan)
+        flash_attention_backward(q, k, v, o, lse, do, plan=plan)
         assert counters.skip_fraction >= 0.4
         assert counters.computed > 0
 
