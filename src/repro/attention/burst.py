@@ -31,13 +31,8 @@ import numpy as np
 
 from repro.comm import BidirectionalFlow, RingSchedule, SimCommunicator
 from repro.comm.ring import check_ring_mode
-from repro.kernels import (
-    BiasTileCache,
-    TilePlan,
-    get_backend,
-)
+from repro.kernels import TilePlan, get_backend, resolve_tiles
 from repro.masks import MaskPattern
-from repro.attention.ring import _resolve_tiles
 from repro.obs.tracer import traced
 
 
@@ -117,7 +112,6 @@ def burst_attention_backward(
     # D_i computed once, locally, before the ring starts (Alg. 2 line 2).
     ds = [np.sum(dos[r] * os[r], axis=-1) for r in range(g)]
 
-    bias_cache = BiasTileCache()
     bufs: list[object] = [
         (
             qs[r].copy(),
@@ -148,8 +142,8 @@ def burst_attention_backward(
                 q_j, do_j, d_j, lse_j = ro[r]
                 (dq_j,) = bufs[r]
             # Queries are shard j, keys/values are pinned shard r.
-            skip, plan, tile, bias = _resolve_tiles(
-                mask, idxs[j], idxs[r], block_size, bias_cache
+            skip, plan, tile, bias = resolve_tiles(
+                mask, idxs[j], idxs[r], block_size
             )
             if skip:
                 continue

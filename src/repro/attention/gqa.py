@@ -30,17 +30,14 @@ from typing import Sequence
 import numpy as np
 
 from repro.attention.burst import burst_attention_backward
-from repro.attention.ring import (
-    _resolve_tiles,
-    ring_attention_forward,
-)
+from repro.attention.ring import ring_attention_forward
 from repro.comm import BidirectionalFlow, RingSchedule, SimCommunicator
 from repro.comm.ring import check_ring_mode
 from repro.kernels import (
-    BiasTileCache,
     attention_reference,
     attention_reference_backward,
     get_backend,
+    resolve_tiles,
 )
 from repro.masks import MaskPattern
 
@@ -171,7 +168,6 @@ def gqa_ring_backward_kv(
     steps = schedule.num_steps
 
     dqs = [np.zeros_like(q) for q in qs]
-    bias_cache = BiasTileCache()
     bufs: list[object] = [
         (ks[r].copy(), vs[r].copy(), np.zeros_like(ks[r]), np.zeros_like(vs[r]))
         for r in range(g)
@@ -190,8 +186,8 @@ def gqa_ring_backward_kv(
             j = origins[t][r]
             k_j, v_j = ro[r] if ro is not None else bufs[r][:2]
             dk_j, dv_j = bufs[r][-2], bufs[r][-1]
-            skip, plan, tile, bias = _resolve_tiles(
-                mask, idxs[r], idxs[j], block_size, bias_cache
+            skip, plan, tile, bias = resolve_tiles(
+                mask, idxs[r], idxs[j], block_size
             )
             if skip:
                 continue
@@ -258,7 +254,6 @@ def gqa_ring_forward(
         for i, q in enumerate(qs)
     ]
     lses = [np.full(q.shape[:-1], NEG_INF, dtype=np.float64) for q in qs]
-    bias_cache = BiasTileCache()
     bufs: list[object] = [(ks[r].copy(), vs[r].copy()) for r in range(g)]
     flow = (
         BidirectionalFlow(comm, schedule, bufs, phase=phase, tag="gqa-kv")
@@ -270,8 +265,8 @@ def gqa_ring_forward(
         for r in range(g):
             j = origins[t][r]
             k_j, v_j = cur[r]
-            skip, plan, tile, bias = _resolve_tiles(
-                mask, idxs[r], idxs[j], block_size, bias_cache
+            skip, plan, tile, bias = resolve_tiles(
+                mask, idxs[r], idxs[j], block_size
             )
             if skip:
                 continue

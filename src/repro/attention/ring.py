@@ -29,83 +29,10 @@ import numpy as np
 
 from repro.comm import BidirectionalFlow, RingSchedule, SimCommunicator
 from repro.comm.ring import check_ring_mode
-from repro.kernels import (
-    BiasTileCache,
-    TilePlan,
-    get_backend,
-    planning_enabled,
-    record_shard_skip,
-)
+from repro.kernels import get_backend, resolve_tiles
 from repro.kernels.softmax import NEG_INF, merge_states
 from repro.masks import MaskPattern
 from repro.obs.tracer import traced
-
-
-def _tile_mask(
-    mask: MaskPattern | None, q_idx: np.ndarray, k_idx: np.ndarray
-) -> tuple[np.ndarray | None, bool]:
-    """Resolve the dense mask tile between two shards (legacy baseline).
-
-    Returns ``(tile_or_None, skip)`` — ``skip`` means the tile is entirely
-    masked and contributes nothing; a ``None`` tile with ``skip=False``
-    means unmasked (full) attention, letting the kernel skip mask handling.
-    Materialises the shard-pair mask for partial tiles; the plan-driven
-    path (:func:`_resolve_tiles`) never does.
-    """
-    if mask is None:
-        return None, False
-    state = mask.tile_state(q_idx, k_idx)
-    if state == "empty":
-        return None, True
-    if state == "full":
-        return None, False
-    return mask.block(q_idx, k_idx), False
-
-
-def _tile_bias(
-    mask: MaskPattern | None, q_idx: np.ndarray, k_idx: np.ndarray
-) -> np.ndarray | None:
-    """Resolve the additive score bias (ALiBi etc.) for a shard pair."""
-    if mask is None:
-        return None
-    return mask.bias_block(q_idx, k_idx)
-
-
-def _resolve_tiles(
-    mask: MaskPattern | None,
-    q_idx: np.ndarray,
-    k_idx: np.ndarray,
-    block_size: int,
-    bias_cache: BiasTileCache | None = None,
-    *,
-    include_bias: bool = True,
-) -> tuple[bool, TilePlan | None, np.ndarray | None, np.ndarray | None]:
-    """Resolve how the kernel should see one (query-shard, key-shard) pair.
-
-    Returns ``(skip, plan, dense_tile, dense_bias)``.  With planning
-    enabled (the default) partial shard pairs come back as a
-    :class:`~repro.kernels.TilePlan` — sub-tiles classified per block,
-    dense mask never materialised; with ``use_planning(False)`` the legacy
-    ``(dense_tile, dense_bias)`` arrays are returned instead, which is the
-    baseline the bench harness measures against.
-    """
-    if mask is None:
-        return False, None, None, None
-    state = mask.tile_state(q_idx, k_idx)
-    if state == "empty":
-        if planning_enabled():
-            record_shard_skip(len(q_idx), len(k_idx), block_size, block_size)
-        return True, None, None, None
-    if planning_enabled():
-        plan = TilePlan.build(
-            mask, q_idx, k_idx, block_size, block_size,
-            bias_cache=bias_cache, include_bias=include_bias,
-            assume_full=(state == "full"),
-        )
-        return False, plan, None, None
-    tile = mask.block(q_idx, k_idx) if state == "partial" else None
-    bias = mask.bias_block(q_idx, k_idx) if include_bias else None
-    return False, None, tile, bias
 
 
 @traced("attn.pass", "attn", algorithm="ring", direction="fwd")
@@ -164,7 +91,6 @@ def ring_attention_forward(
         np.full(q.shape[:-1], NEG_INF, dtype=np.float64) for q in qs
     ]
 
-    bias_cache = BiasTileCache()
     bufs: list[object] = [(ks[r].copy(), vs[r].copy()) for r in range(g)]
     flow = (
         BidirectionalFlow(comm, schedule, bufs, phase=phase, tag="kv")
@@ -176,8 +102,8 @@ def ring_attention_forward(
         for r in range(g):
             j = origins[t][r]
             k_j, v_j = cur[r]
-            skip, plan, tile, bias = _resolve_tiles(
-                mask, idxs[r], idxs[j], block_size, bias_cache
+            skip, plan, tile, bias = resolve_tiles(
+                mask, idxs[r], idxs[j], block_size
             )
             if skip:
                 continue
@@ -244,7 +170,6 @@ def ring_attention_backward_kv(
     steps = schedule.num_steps
 
     dqs = [np.zeros_like(q) for q in qs]
-    bias_cache = BiasTileCache()
     bufs: list[object] = [
         (ks[r].copy(), vs[r].copy(), np.zeros_like(ks[r]), np.zeros_like(vs[r]))
         for r in range(g)
@@ -264,8 +189,8 @@ def ring_attention_backward_kv(
             j = origins[t][r]
             k_j, v_j = ro[r] if ro is not None else bufs[r][:2]
             dk_j, dv_j = bufs[r][-2], bufs[r][-1]
-            skip, plan, tile, bias = _resolve_tiles(
-                mask, idxs[r], idxs[j], block_size, bias_cache
+            skip, plan, tile, bias = resolve_tiles(
+                mask, idxs[r], idxs[j], block_size
             )
             if skip:
                 continue

@@ -28,9 +28,8 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.attention.ring import _resolve_tiles
 from repro.comm import SimCommunicator
-from repro.kernels import get_backend
+from repro.kernels import get_backend, resolve_tiles
 from repro.kernels.softmax import NEG_INF, merge_states
 from repro.masks import MaskPattern
 from repro.obs.tracer import traced
@@ -97,7 +96,7 @@ def selective_attention_forward(
             )
             # This path has never forwarded the pattern's bias (selective
             # fetch is mask-structure only), so the plan omits it too.
-            skip, plan, tile, _ = _resolve_tiles(
+            skip, plan, tile, _ = resolve_tiles(
                 mask, idxs[i], idxs[j], block_size, include_bias=False
             )
             if skip:
@@ -150,7 +149,7 @@ def selective_attention_backward(
         for j in range(g):
             if not need[i, j]:
                 continue
-            skip, plan, tile, _ = _resolve_tiles(
+            skip, plan, tile, _ = resolve_tiles(
                 mask, idxs[i], idxs[j], block_size, include_bias=False
             )
             if skip:

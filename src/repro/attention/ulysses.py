@@ -22,12 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.comm import SimCommunicator
-from repro.kernels import (
-    BiasTileCache,
-    TilePlan,
-    get_backend,
-    planning_enabled,
-)
+from repro.kernels import get_backend, resolve_tiles
 from repro.masks import MaskPattern
 from repro.obs.tracer import traced
 
@@ -58,11 +53,10 @@ class UlyssesContext:
     lse_h: list[np.ndarray]
     seq_sizes: list[int]
     heads_per_rank: int
-    mask_dense: np.ndarray | None
+    #: per-rank ``(plan, dense_mask, dense_bias)`` from ``resolve_tiles``
+    tiles: list[tuple]
     scale: float
     block_size: int
-    bias_slices: list | None = None  # per-rank head slice of the ALiBi bias
-    plans: list[TilePlan] | None = None  # per-rank full-sequence tile plans
 
 
 def _split_heads(x: np.ndarray, g: int) -> list[np.ndarray]:
@@ -125,9 +119,7 @@ def ulysses_attention_forward(
         k_h.append(np.concatenate([received[r][s][1] for s in range(g)], axis=-2))
         v_h.append(np.concatenate([received[r][s][2] for s in range(g)], axis=-2))
 
-    mask_dense = None
-    bias_slices = None
-    plans = None
+    tiles = [(None, None, None)] * g
     hh = h // g
     if mask is not None:
         idx = np.arange(n)
@@ -138,31 +130,21 @@ def ulysses_attention_forward(
             raise ValueError(
                 "Ulysses needs a per-head bias matching the head count"
             )
-        if planning_enabled():
-            # All ranks see the same full-sequence tile grid and bias
-            # cache; each views its own head group of the bias tiles.
-            base = TilePlan.build(
-                mask, idx, idx, block_size, block_size,
-                bias_cache=BiasTileCache(),
-            )
-            plans = [
-                base.with_head_slice(slice(r * hh, (r + 1) * hh))
-                for r in range(g)
-            ]
-        else:
-            mask_dense = mask.dense(n)
-            bias_full = mask.bias_block(idx, idx)
-            if bias_full is not None:
-                bias_slices = [
-                    bias_full[r * hh : (r + 1) * hh] for r in range(g)
-                ]
+        # Every rank sees the same full-sequence tile grid; each views its
+        # own head group of the bias.
+        tiles = [
+            resolve_tiles(
+                mask, idx, idx, block_size,
+                head_slice=slice(r * hh, (r + 1) * hh), allow_skip=False,
+            )[1:]
+            for r in range(g)
+        ]
     o_h, lse_h = [], []
     for r in range(g):
+        plan, dense, bias = tiles[r]
         o, lse = get_backend().flash_forward(
-            q_h[r], k_h[r], v_h[r], mask=mask_dense, scale=scale,
-            block_q=block_size, block_k=block_size,
-            bias=None if bias_slices is None else bias_slices[r],
-            plan=None if plans is None else plans[r],
+            q_h[r], k_h[r], v_h[r], mask=dense, scale=scale,
+            block_q=block_size, block_k=block_size, bias=bias, plan=plan,
         )
         o_h.append(o)
         lse_h.append(lse)
@@ -185,8 +167,7 @@ def ulysses_attention_forward(
     ctx = UlyssesContext(
         q_h=q_h, k_h=k_h, v_h=v_h, o_h=o_h, lse_h=lse_h,
         seq_sizes=seq_sizes, heads_per_rank=h // g,
-        mask_dense=mask_dense, scale=scale, block_size=block_size,
-        bias_slices=bias_slices, plans=plans,
+        tiles=tiles, scale=scale, block_size=block_size,
     )
     return os_out, lses_out, ctx
 
@@ -209,12 +190,12 @@ def ulysses_attention_backward(
 
     dq_h, dk_h, dv_h = [], [], []
     for r in range(g):
+        plan, dense, bias = ctx.tiles[r]
         dq, dk, dv = get_backend().flash_backward(
             ctx.q_h[r], ctx.k_h[r], ctx.v_h[r], ctx.o_h[r], ctx.lse_h[r],
-            do_h[r], mask=ctx.mask_dense, scale=ctx.scale,
+            do_h[r], mask=dense, scale=ctx.scale,
             block_q=ctx.block_size, block_k=ctx.block_size,
-            bias=None if ctx.bias_slices is None else ctx.bias_slices[r],
-            plan=None if ctx.plans is None else ctx.plans[r],
+            bias=bias, plan=plan,
         )
         dq_h.append(dq)
         dk_h.append(dk)

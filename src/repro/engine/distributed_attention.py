@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.attention.methods import DistributedAttention
 from repro.comm import SimCommunicator
-from repro.kernels import TilePlan, get_backend, planning_enabled
+from repro.kernels import get_backend, resolve_tiles
 from repro.masks import MaskPattern
 from repro.nn.attention_fn import _attention_flops, _mask_pairs
 from repro.nn.checkpoint import (
@@ -38,20 +38,17 @@ from repro.nn.tensor import Tensor, is_grad_enabled
 from repro.obs.tracer import trace_span
 
 
-def _local_mask(
-    mask: MaskPattern | None, s: int, block_size: int
-) -> tuple[np.ndarray | None, TilePlan | None]:
-    """Resolve a full-sequence local mask as ``(dense, plan)`` — exactly
-    one is non-``None`` when a mask exists.  These local paths have never
-    forwarded the pattern's bias, so neither does the plan."""
-    if mask is None:
-        return None, None
-    if planning_enabled():
-        idx = np.arange(s)
-        return None, TilePlan.build(
-            mask, idx, idx, block_size, block_size, include_bias=False
-        )
-    return mask.dense(s), None
+def _local_tiles(
+    mask: MaskPattern | None, q_idx: np.ndarray, k_idx: np.ndarray,
+    block_size: int,
+) -> tuple:
+    """``(plan, dense_mask)`` of a local (unsharded) attention.  These
+    local paths have never forwarded the pattern's bias, so neither does
+    the plan."""
+    _, plan, dense, _ = resolve_tiles(
+        mask, q_idx, k_idx, block_size, include_bias=False, allow_skip=False
+    )
+    return plan, dense
 
 
 class DistributedAttentionFn(Function):
@@ -93,14 +90,15 @@ class DistributedAttentionFn(Function):
             from repro.attention.gqa import repeat_kv
 
             groups = (q.shape[0] // k.shape[0]) if q.ndim == 3 else 1
-            dense, plan = _local_mask(mask, s, method.block_size)
+            idx = np.arange(s)
+            plan, dense = _local_tiles(mask, idx, idx, method.block_size)
             o, lse = get_backend().flash_forward(
                 q, repeat_kv(k, groups), repeat_kv(v, groups), mask=dense,
                 scale=scale, block_q=method.block_size,
                 block_k=method.block_size, plan=plan,
             )
             self.groups = groups
-            self.fallback_plan = plan
+            self.fallback_tiles = plan, dense
             self.save_for_backward(q, k, v, o, lse)
             return o
 
@@ -119,16 +117,9 @@ class DistributedAttentionFn(Function):
 
             split = int(round(s * policy.split_fraction))
             o_back, lse_back = cached
-            if mask is not None and planning_enabled():
-                dense = None
-                plan = TilePlan.build(
-                    mask, np.arange(split), np.arange(s),
-                    method.block_size, method.block_size,
-                    include_bias=False,
-                )
-            else:
-                plan = None
-                dense = mask.dense(s)[:split, :] if mask is not None else None
+            plan, dense = _local_tiles(
+                mask, np.arange(split), np.arange(s), method.block_size
+            )
             groups = (q.shape[0] // k.shape[0]) if q.ndim == 3 else 1
             with trace_span("ckpt.recompute-front", phase="ckpt-recompute",
                             split=split, seq=s):
@@ -191,18 +182,12 @@ class DistributedAttentionFn(Function):
         if self.local_fallback:
             from repro.attention.gqa import fold_kv_grad, repeat_kv
 
-            if self.fallback_plan is not None:
-                dense = None
-            else:
-                dense = (
-                    self.mask.dense(q.shape[-2])
-                    if self.mask is not None else None
-                )
+            plan, dense = self.fallback_tiles
             dq, dk, dv = get_backend().flash_backward(
                 q, repeat_kv(k, self.groups), repeat_kv(v, self.groups),
                 o, lse, grad_out, mask=dense, scale=self.scale,
                 block_q=self.method.block_size, block_k=self.method.block_size,
-                plan=self.fallback_plan,
+                plan=plan,
             )
             return dq, fold_kv_grad(dk, self.groups), fold_kv_grad(dv, self.groups)
         method, comm = self.method, self.comm

@@ -32,7 +32,7 @@ from repro.kernels.tileplan import (
     TilePlan,
     counters,
     planning_enabled,
-    record_shard_skip,
+    resolve_tiles,
     use_planning,
 )
 from repro.kernels.mlp import (
@@ -76,7 +76,7 @@ __all__ = [
     "TilePlan",
     "counters",
     "planning_enabled",
-    "record_shard_skip",
+    "resolve_tiles",
     "use_planning",
     "MIN_FULL_GEMM_OUT",
     "MIN_GEMM_ROWS",

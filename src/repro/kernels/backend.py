@@ -14,8 +14,9 @@ the hot path is a runtime choice:
     forward/backward fan spans of query blocks (and the blockwise MLP its
     sequence chunks) across a thread pool.  NumPy releases the GIL inside
     BLAS calls, so on a multi-core host the GEMMs genuinely overlap.  The
-    calling thread resolves each invocation's runs and does all tile
-    accounting; workers only run the numeric core.  Bitwise-identical to
+    calling thread takes each invocation's runs and does all tile
+    accounting; workers only run the numeric core over the (read-only)
+    runs.  Bitwise-identical to
     ``reference`` by construction: forward q-blocks write disjoint output
     slices, and the backward's per-run ``(k0, k1, dk, dv)`` slabs are
     merged on the calling thread in ascending q-block order — the exact
@@ -68,7 +69,7 @@ from repro.kernels.mlp import (
     swiglu_mlp_forward,
     uses_chunking,
 )
-from repro.kernels.tileplan import counters
+from repro.kernels.tileplan import backend_label
 from repro.obs.tracer import NOOP_SPAN, trace_span
 
 __all__ = [
@@ -166,16 +167,13 @@ class ReferenceBackend(KernelBackend):
     name = "reference"
 
     def flash_forward(self, q, k, v, **kw):
-        with counters.backend_scope(self.name):
-            return flash_attention_forward(q, k, v, **kw)
+        return flash_attention_forward(q, k, v, **kw)
 
     def flash_backward(self, q, k, v, o, lse, do, **kw):
-        with counters.backend_scope(self.name):
-            return flash_attention_backward(q, k, v, o, lse, do, **kw)
+        return flash_attention_backward(q, k, v, o, lse, do, **kw)
 
     def flash_backward_tiles(self, q, k, v, lse, d_stat, do, **kw):
-        with counters.backend_scope(self.name):
-            return flash_backward_tiles(q, k, v, lse, d_stat, do, **kw)
+        return flash_backward_tiles(q, k, v, lse, d_stat, do, **kw)
 
     def mlp_forward(self, x, w_gate, w_up, w_down, chunk_size=None):
         with trace_span(
@@ -212,8 +210,9 @@ def _span_chunks(n_items: int, n_tasks: int) -> list[tuple[int, int]]:
 class ThreadedBackend(KernelBackend):
     """Worker-pool fast path over the same per-q-block flash core.
 
-    The calling thread resolves the runs (and does all tile accounting)
-    in :func:`~repro.kernels.flash.forward_core` /
+    The calling thread takes the runs (and does all tile accounting,
+    labeled ``backend=threaded``) in
+    :func:`~repro.kernels.flash.forward_core` /
     :func:`~repro.kernels.flash.backward_core`; workers only run
     contiguous spans of q-blocks, under the caller's floating-point
     error state.  Forward: workers write disjoint ``o``/``lse`` (and
@@ -225,6 +224,7 @@ class ThreadedBackend(KernelBackend):
     """
 
     name = "threaded"
+    _tile_label = backend_label(name)
 
     def __init__(self, workers: int | None = None):
         if workers is None:
@@ -286,11 +286,10 @@ class ThreadedBackend(KernelBackend):
         self, q, k, v, mask=None, scale=None, block_q=DEFAULT_BLOCK,
         block_k=DEFAULT_BLOCK, bias=None, plan=None,
     ):
-        with self._span("flash.fwd", q, k, plan), \
-                counters.backend_scope(self.name):
+        with self._span("flash.fwd", q, k, plan):
             return forward_core(
                 q, k, v, mask, scale, block_q, block_k, bias, plan,
-                map_rows=self._map_spans,
+                map_rows=self._map_spans, label=self._tile_label,
             )
 
     def flash_backward(self, q, k, v, o, lse, do, **kw):
@@ -301,11 +300,10 @@ class ThreadedBackend(KernelBackend):
         self, q, k, v, lse, d_stat, do, mask=None, scale=None,
         block_q=DEFAULT_BLOCK, block_k=DEFAULT_BLOCK, bias=None, plan=None,
     ):
-        with self._span("flash.bwd", q, k, plan), \
-                counters.backend_scope(self.name):
+        with self._span("flash.bwd", q, k, plan):
             return backward_core(
                 q, k, v, lse, d_stat, do, mask, scale, block_q, block_k,
-                bias, plan, map_rows=self._map_spans,
+                bias, plan, map_rows=self._map_spans, label=self._tile_label,
             )
 
     # -- blockwise MLP --------------------------------------------------------

@@ -18,7 +18,8 @@ Masking comes in two forms, both classified into the same per-sub-tile
 
 * a :class:`~repro.kernels.tileplan.TilePlan` (``plan=``) — the fast path.
   The plan classifies sub-tiles from the mask pattern without
-  materialising it; executed/skipped sub-tiles are tallied in
+  materialising it and already holds its resolved runs; each invocation
+  replays its executed/skipped sub-tile census into
   :data:`repro.kernels.tileplan.counters`.
 * a dense boolean array (``mask=``) broadcastable to ``(..., Sq, Sk)`` —
   classified per sub-tile with ``all``/``any``.  Kept for references,
@@ -35,15 +36,22 @@ buffers per q-block (:func:`flash_scratch_bytes`), recorded on the
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.kernels.softmax import NEG_INF
-from repro.kernels.tileplan import EMPTY, FULL, PARTIAL, TilePlan, counters
+from repro.kernels.tileplan import (
+    EMPTY, FULL, PARTIAL, TilePlan, backend_label, counters, tile_runs,
+)
 from repro.obs.mem import transient_scope
 from repro.obs.tracer import NOOP_SPAN, trace_span
 
 
 DEFAULT_BLOCK = 128
+
+#: Label key of the tile counts these (reference) kernels account.
+_REFERENCE_LABEL = backend_label("reference")
 
 
 def flash_scratch_bytes(
@@ -59,86 +67,49 @@ def flash_scratch_bytes(
     return (2 if backward else 1) * batch * rows * width * 8
 
 
-class _DenseTiles:
-    """A dense ``mask=``/``bias=`` pair seen through the tile interface of
-    :class:`TilePlan` (``states``, ``mask_tile``, ``bias_tile``)."""
+def _dense_runs(mask, bias, sq, sk, block_q, block_k):
+    """:func:`~repro.kernels.tileplan.tile_runs` of a dense ``mask=`` /
+    ``bias=`` pair, classified per sub-tile with ``all``/``any`` into the
+    states a plan would hold (uncached, uncounted)."""
 
-    def __init__(self, mask, bias, sq, sk, block_q, block_k):
-        self.block_q, self.block_k = block_q, block_k
-        self._mask, self._bias = mask, bias
-        self.states = np.full(
-            (-(-sq // block_q), -(-sk // block_k)), FULL, dtype=np.int8
-        )
-        if mask is not None:
-            for i, j in np.ndindex(*self.states.shape):
-                m = self.mask_tile(i, j)
-                if not m.all():
-                    self.states[i, j] = PARTIAL if m.any() else EMPTY
+    def tile(a, i, j):
+        return a[..., i * block_q:(i + 1) * block_q,
+                 j * block_k:(j + 1) * block_k]
 
-    def _tile(self, a, i, j):
-        bq, bk = self.block_q, self.block_k
-        return a[..., i * bq:(i + 1) * bq, j * bk:(j + 1) * bk]
-
-    def mask_tile(self, i, j):
-        return self._tile(self._mask, i, j)
-
-    def bias_tile(self, i, j):
-        return None if self._bias is None else self._tile(self._bias, i, j)
+    states = np.full((-(-sq // block_q), -(-sk // block_k)), FULL, np.int8)
+    if mask is not None:
+        for i, j in np.ndindex(*states.shape):
+            m = tile(mask, i, j)
+            if not m.all():
+                states[i, j] = PARTIAL if m.any() else EMPTY
+    runs, widths, _ = tile_runs(
+        states, sq, sk, block_q, block_k,
+        lambda i, j: tile(mask, i, j),
+        lambda i, j: None if bias is None else tile(bias, i, j),
+    )
+    return runs, widths
 
 
-def _resolve_runs(q, k, mask, scale, block_q, block_k, bias, plan):
+def _resolve_runs(q, k, mask, scale, block_q, block_k, bias, plan, label):
     """The preamble every flash entry point shares.
 
-    Returns ``(scale, block_q, runs)`` where ``runs[i]`` lists q-block
-    ``i``'s runs as ``(k0, k1, edits)``: the slab's token bounds and the
-    ``(offset, end, mask_tile, bias_tile)`` of every sub-tile inside it
-    that needs a bias add or a ``-inf`` fill.  A plan's sub-tile census
-    and bias lookups are accounted here, on the invoking thread.
+    Returns ``(scale, block_q, runs, widths)`` (see
+    :func:`~repro.kernels.tileplan.tile_runs`).  A plan already holds its
+    runs; its census is replayed into :data:`counters` (also under
+    ``label``) here, on the invoking thread.  A dense mask is resolved
+    afresh on every call.
     """
     if scale is None:
         scale = 1.0 / np.sqrt(q.shape[-1])
     sq, sk = q.shape[-2], k.shape[-2]
     if plan is None:
-        tiles = _DenseTiles(mask, bias, sq, sk, block_q, block_k)
-    else:
-        if mask is not None or bias is not None:
-            raise ValueError(
-                "pass either plan= or dense mask=/bias=, not both"
-            )
-        plan.check_geometry(sq, sk)
-        tiles = plan
-    block_q, block_k = tiles.block_q, tiles.block_k
-    census = {EMPTY: 0, PARTIAL: 0, FULL: 0}
-    pairs = {EMPTY: 0, PARTIAL: 0, FULL: 0}
-    runs = []
-    for i, row in enumerate(tiles.states.tolist()):
-        rows = min(block_q, sq - i * block_q)
-        row_runs: list = []
-        for j, state in enumerate(row):
-            k0, k1 = j * block_k, min((j + 1) * block_k, sk)
-            census[state] += 1
-            pairs[state] += rows * (k1 - k0)
-            if state == EMPTY:
-                continue
-            b = tiles.bias_tile(i, j)
-            m = tiles.mask_tile(i, j) if state == PARTIAL else None
-            if m is not None and not m.any():
-                continue
-            if row_runs and row_runs[-1][1] == k0:
-                row_runs[-1][1] = k1
-            else:
-                row_runs.append([k0, k1, []])
-            if m is not None or b is not None:
-                start = row_runs[-1][0]
-                row_runs[-1][2].append((k0 - start, k1 - start, m, b))
-        runs.append(row_runs)
-    if plan is not None:
-        counters.add("computed_full", census[FULL])
-        counters.add("computed_partial", census[PARTIAL])
-        counters.add("skipped_empty", census[EMPTY])
-        counters.add("computed_pairs", pairs[FULL] + pairs[PARTIAL])
-        counters.add("skipped_pairs", pairs[EMPTY])
-    return scale, block_q, runs
+        runs, widths = _dense_runs(mask, bias, sq, sk, block_q, block_k)
+        return scale, block_q, runs, widths
+    if mask is not None or bias is not None:
+        raise ValueError("pass either plan= or dense mask=/bias=, not both")
+    plan.check_geometry(sq, sk)
+    counters.replay(plan.census, label)
+    return scale, plan.block_q, plan.runs, plan.widths
 
 
 def _scores(q_blk, k, k0, k1, scale, edits):
@@ -147,19 +118,19 @@ def _scores(q_blk, k, k0, k1, scale, edits):
     fills only where a sub-tile needs them."""
     s = np.matmul(q_blk, np.swapaxes(k[..., k0:k1, :], -1, -2))
     s *= scale
-    for a, b, m, bias in edits:
+    for a, b, blocked, bias in edits:
         if bias is not None:
             s[..., a:b] += bias
-        if m is not None:
-            np.copyto(s[..., a:b], NEG_INF, where=~m)
+        if blocked is not None:
+            np.copyto(s[..., a:b], NEG_INF, where=blocked)
     return s
 
 
-def _scratch_scope(q, block_q, runs, rows, backward):
-    """One transient scope for q-blocks ``rows``, sized by
+def _scratch_scope(q, block_q, widths, rows, backward):
+    """One transient scope for q-blocks ``rows`` (a range), sized by
     :func:`flash_scratch_bytes` at the widest run among them."""
-    batch = int(np.prod(q.shape[:-2], dtype=np.int64))
-    width = max((k1 - k0 for qi in rows for k0, k1, _ in runs[qi]), default=0)
+    batch = math.prod(q.shape[:-2])
+    width = max(widths[rows.start:rows.stop], default=0)
     nbytes = flash_scratch_bytes(
         batch, min(block_q, q.shape[-2]), width, backward
     )
@@ -167,14 +138,14 @@ def _scratch_scope(q, block_q, runs, rows, backward):
     return transient_scope(nbytes, site=site)
 
 
-def _forward_rows(q, k, v, scale, block_q, runs, rows, o, lse) -> None:
+def _forward_rows(q, k, v, scale, block_q, runs, widths, rows, o, lse):
     """Forward over q-blocks ``rows``, writing their ``o``/``lse`` slices.
 
     Q-blocks touch only their own output slices, so any partition of the
     blocks across workers gives bitwise-identical results.
     """
     sq = q.shape[-2]
-    with _scratch_scope(q, block_q, runs, rows, backward=False):
+    with _scratch_scope(q, block_q, widths, rows, backward=False):
         for qi in rows:
             q0, q1 = qi * block_q, min((qi + 1) * block_q, sq)
             q_blk = q[..., q0:q1, :]
@@ -186,7 +157,7 @@ def _forward_rows(q, k, v, scale, block_q, runs, rows, o, lse) -> None:
                     np.maximum(m, m_new, out=m_new)
                 # Rows with nothing allowed yet keep m = -inf; shift them
                 # by 0 so exp() sees -inf - 0 rather than -inf + inf.
-                m_safe = np.where(np.isneginf(m_new), 0.0, m_new)
+                m_safe = np.where(m_new == NEG_INF, 0.0, m_new)
                 s -= m_safe[..., None]
                 p = np.exp(s, out=s)
                 pv = np.matmul(p, v[..., k0:k1, :])
@@ -203,7 +174,7 @@ def _forward_rows(q, k, v, scale, block_q, runs, rows, o, lse) -> None:
                 o[..., q0:q1, :] = 0.0
                 lse[..., q0:q1] = NEG_INF
                 continue
-            dead = np.isneginf(m)
+            dead = m == NEG_INF
             if dead.any():
                 l[dead] = 1.0  # o stays 0 and lse = -inf + log(1)
             o[..., q0:q1, :] = acc / l[..., None]
@@ -211,8 +182,8 @@ def _forward_rows(q, k, v, scale, block_q, runs, rows, o, lse) -> None:
 
 
 def _backward_rows(
-    q, k, v, lse, d_stat, do, scale, block_q, runs, rows, dq, dk=None,
-    dv=None,
+    q, k, v, lse, d_stat, do, scale, block_q, runs, widths, rows, dq,
+    dk=None, dv=None,
 ) -> list:
     """Backward over q-blocks ``rows``, writing their ``dq`` slices.
 
@@ -224,7 +195,7 @@ def _backward_rows(
     """
     sq = q.shape[-2]
     slabs: list = []
-    with _scratch_scope(q, block_q, runs, rows, backward=True):
+    with _scratch_scope(q, block_q, widths, rows, backward=True):
         for qi in rows:
             q0, q1 = qi * block_q, min((qi + 1) * block_q, sq)
             if not runs[qi]:
@@ -235,7 +206,7 @@ def _backward_rows(
             d_blk = d_stat[..., q0:q1, None]
             # Dead rows (lse = -inf) shift by +inf so every p is exactly 0.
             lse_blk = lse[..., q0:q1]
-            lse_safe = np.where(np.isneginf(lse_blk), np.inf, lse_blk)
+            lse_safe = np.where(lse_blk == NEG_INF, np.inf, lse_blk)
             lse_safe = lse_safe[..., None]
             dq_blk = None
             for k0, k1, edits in runs[qi]:
@@ -281,8 +252,8 @@ def flash_attention_forward(
     the same ``(o, lse)`` pair.  ``block_q``/``block_k`` set the sub-tile
     grid (when ``plan`` is given, its block geometry wins).  ``bias`` is
     an additive score term (ALiBi) broadcastable to ``(..., Sq, Sk)``,
-    added per sub-tile alongside the mask; with a plan, bias tiles are
-    resolved (and cached) per sub-tile instead.
+    added per sub-tile alongside the mask; a plan carries its own bias
+    tiles instead.
 
     One ``flash.fwd`` span covers the whole invocation (never per run —
     the inner loop stays bench-clean).
@@ -301,19 +272,20 @@ def flash_attention_forward(
 
 
 def forward_core(q, k, v, mask, scale, block_q, block_k, bias, plan,
-                 map_rows=None):
-    """The forward every backend runs: resolve the runs once on this
-    thread, then :func:`_forward_rows` over all q-blocks — inline, or
-    through ``map_rows(fn, n_blocks)``, which must call ``fn`` on ranges
+                 map_rows=None, label=_REFERENCE_LABEL):
+    """The forward every backend runs: take the runs (and account a
+    plan's tiles under ``label``) on this thread, then
+    :func:`_forward_rows` over all q-blocks — inline, or through
+    ``map_rows(fn, n_blocks)``, which must call ``fn`` on ranges
     partitioning ``range(n_blocks)``."""
-    scale, block_q, runs = _resolve_runs(
-        q, k, mask, scale, block_q, block_k, bias, plan
+    scale, block_q, runs, widths = _resolve_runs(
+        q, k, mask, scale, block_q, block_k, bias, plan, label
     )
     o = np.empty(q.shape[:-1] + (v.shape[-1],), dtype=np.float64)
     lse = np.empty(q.shape[:-1], dtype=np.float64)
 
     def fn(rows):
-        _forward_rows(q, k, v, scale, block_q, runs, rows, o, lse)
+        _forward_rows(q, k, v, scale, block_q, runs, widths, rows, o, lse)
 
     if map_rows is None:
         fn(range(len(runs)))
@@ -391,28 +363,29 @@ def flash_backward_tiles(
 
 
 def backward_core(q, k, v, lse, d_stat, do, mask, scale, block_q, block_k,
-                  bias, plan, map_rows=None):
+                  bias, plan, map_rows=None, label=_REFERENCE_LABEL):
     """The backward every backend runs.  Inline, ``dk``/``dv`` slabs
     accumulate in place; through ``map_rows`` (which must return ``fn``'s
     results in ascending range order) each range's slabs are collected
     and folded here in ascending q-block order — the inline fold order,
     so both give bitwise-equal gradients."""
-    scale, block_q, runs = _resolve_runs(
-        q, k, mask, scale, block_q, block_k, bias, plan
+    scale, block_q, runs, widths = _resolve_runs(
+        q, k, mask, scale, block_q, block_k, bias, plan, label
     )
     dq = np.empty_like(q)
     dk = np.zeros_like(k)
     dv = np.zeros_like(v)
     if map_rows is None:
         _backward_rows(
-            q, k, v, lse, d_stat, do, scale, block_q, runs,
+            q, k, v, lse, d_stat, do, scale, block_q, runs, widths,
             range(len(runs)), dq, dk, dv,
         )
         return dq, dk, dv
 
     def fn(rows):
         return _backward_rows(
-            q, k, v, lse, d_stat, do, scale, block_q, runs, rows, dq
+            q, k, v, lse, d_stat, do, scale, block_q, runs, widths, rows,
+            dq,
         )
 
     for slabs in map_rows(fn, len(runs)):

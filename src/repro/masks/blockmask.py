@@ -38,7 +38,11 @@ class BlockSparseMask(MaskPattern):
     ):
         if block_size < 1:
             raise ValueError(f"block_size must be >= 1, got {block_size}")
-        block_mask = np.asarray(block_mask, dtype=bool)
+        # A private read-only copy: patterns are immutable (plans are
+        # cached per pattern), so a later edit of the caller's array must
+        # not reach this one.
+        block_mask = np.array(block_mask, dtype=bool)
+        block_mask.setflags(write=False)
         if block_mask.ndim != 2 or block_mask.shape[0] != block_mask.shape[1]:
             raise ValueError(f"block_mask must be square 2-D, got {block_mask.shape}")
         self.block_size = block_size

@@ -19,7 +19,16 @@ import numpy as np
 
 
 class MaskPattern(ABC):
-    """Base class for attention masks defined over global token positions."""
+    """Base class for attention masks defined over global token positions.
+
+    A pattern is immutable once constructed: its answers for given index
+    arrays never change.  The kernel layer relies on this — it caches
+    each shard pair's :class:`~repro.kernels.TilePlan` per pattern
+    *object* for as long as the pattern lives — so subclasses must not
+    change their parameters after ``__init__`` and must copy (and freeze)
+    any array argument rather than alias the caller's.  To change a
+    mask, build a new pattern.
+    """
 
     @abstractmethod
     def block(self, q_idx: np.ndarray, k_idx: np.ndarray) -> np.ndarray:
@@ -60,7 +69,7 @@ class MaskPattern(ABC):
         Patterns whose bias is translation-invariant (a function of
         ``q - k`` only, like ALiBi) return a key so the kernel layer's
         :class:`~repro.kernels.tileplan.BiasTileCache` can share tiles
-        across ring steps.  The default is ``None`` — never cached —
+        between the plans of different shard pairs.  The default is ``None`` — never cached —
         which is always sound.
         """
         return None
@@ -172,6 +181,7 @@ class ALiBiMask(CausalMask):
             raise ValueError(f"n_heads must be >= 1, got {n_heads}")
         self.n_heads = n_heads
         self.slopes = 2.0 ** (-8.0 * (np.arange(n_heads) + 1) / n_heads)
+        self.slopes.setflags(write=False)
 
     def bias_block(self, q_idx: np.ndarray, k_idx: np.ndarray) -> np.ndarray:
         dist = (q_idx[:, None] - k_idx[None, :]).astype(np.float64)

@@ -19,12 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels import (
-    BiasTileCache,
-    TilePlan,
-    get_backend,
-    planning_enabled,
-)
+from repro.kernels import get_backend, resolve_tiles
 from repro.masks import MaskPattern
 from repro.nn.checkpoint import (
     AttentionOutputCache,
@@ -86,24 +81,11 @@ class FlashAttentionFn(Function):
         heads = q.shape[0] if q.ndim == 3 else 1
         head_dim = q.shape[-1]
         positions = np.arange(s)
-        planned = planning_enabled() and mask is not None
-        if planned:
-            # Plan mode: classify sub-tiles from the pattern and resolve
-            # bias per tile — the dense s x s mask never exists.
-            dense = dense_bias = None
-            bias_cache = BiasTileCache()
-            plan = TilePlan.build(
-                mask, positions, positions, block_size, block_size,
-                bias_cache=bias_cache,
-            )
-        else:
-            dense = mask.dense(s) if mask is not None else None
-            dense_bias = (
-                mask.bias_block(positions, positions)
-                if mask is not None else None
-            )
-            bias_cache = None
-            plan = None
+        # A tile plan (the dense s x s mask never exists), or with planning
+        # off the dense mask and bias.
+        _, plan, dense, dense_bias = resolve_tiles(
+            mask, positions, positions, block_size, allow_skip=False
+        )
         self.mask_dense = dense
         self.bias_dense = dense_bias
         self.plan = plan
@@ -118,19 +100,10 @@ class FlashAttentionFn(Function):
         elif cached is not None and policy.mode is CheckpointMode.SEQUENCE_LEVEL:
             split = int(round(s * policy.split_fraction))
             o_back, lse_back = cached
-            if planned:
-                front_mask = front_bias = None
-                front_plan = TilePlan.build(
-                    mask, positions[:split], positions,
-                    block_size, block_size, bias_cache=bias_cache,
-                )
-            else:
-                front_plan = None
-                front_mask = dense[:split, :] if dense is not None else None
-                front_bias = (
-                    dense_bias[..., :split, :]
-                    if dense_bias is not None else None
-                )
+            _, front_plan, front_mask, front_bias = resolve_tiles(
+                mask, positions[:split], positions, block_size,
+                allow_skip=False,
+            )
             with trace_span("ckpt.recompute-front", phase="ckpt-recompute",
                             split=split, seq=s):
                 o_front, lse_front = get_backend().flash_forward(

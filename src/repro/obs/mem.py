@@ -322,12 +322,10 @@ _TRANSIENT_LIVE: dict[int, tuple[int, str]] = {}
 _TRANSIENT_NEXT = 0
 
 
-def _transient_gauges():
-    registry = get_registry()
-    return (
-        registry.gauge("memory.transient_bytes"),
-        registry.gauge("memory.peak_transient_bytes"),
-    )
+#: Fetched once: every kernel invocation allocates and frees a scope, and
+#: a registry lookup takes the registry lock.
+_TRANSIENT_BYTES = get_registry().gauge("memory.transient_bytes")
+_PEAK_TRANSIENT_BYTES = get_registry().gauge("memory.peak_transient_bytes")
 
 
 def transient_alloc(nbytes: int, site: str = "kernel") -> int:
@@ -339,15 +337,14 @@ def transient_alloc(nbytes: int, site: str = "kernel") -> int:
     their scopes concurrently).
     """
     global _TRANSIENT_NEXT
-    current_g, peak_g = _transient_gauges()
     with _TRANSIENT_LOCK:
         handle = _TRANSIENT_NEXT
         _TRANSIENT_NEXT += 1
         _TRANSIENT_LIVE[handle] = (int(nbytes), site)
-        current = int(current_g.value()) + int(nbytes)
-        current_g.set(float(current))
-        if current > peak_g.value():
-            peak_g.set(float(current))
+        current = int(_TRANSIENT_BYTES.value()) + int(nbytes)
+        _TRANSIENT_BYTES.set(float(current))
+        if current > _PEAK_TRANSIENT_BYTES.value():
+            _PEAK_TRANSIENT_BYTES.set(float(current))
         observe(TRANSIENT, "alloc", int(nbytes), current, handle, site)
     return handle
 
@@ -355,14 +352,13 @@ def transient_alloc(nbytes: int, site: str = "kernel") -> int:
 def transient_free(handle: int) -> None:
     """Release a :func:`transient_alloc` handle (unknown handles ignored:
     a scope may outlive a per-step :func:`reset_transients`)."""
-    current_g, _ = _transient_gauges()
     with _TRANSIENT_LOCK:
         entry = _TRANSIENT_LIVE.pop(handle, None)
         if entry is None:
             return
         nbytes, site = entry
-        current = int(current_g.value()) - nbytes
-        current_g.set(float(current))
+        current = int(_TRANSIENT_BYTES.value()) - nbytes
+        _TRANSIENT_BYTES.set(float(current))
         observe(TRANSIENT, "free", -nbytes, current, handle, site)
 
 
@@ -378,11 +374,10 @@ def transient_scope(nbytes: int, site: str = "kernel") -> Iterator[None]:
 
 def reset_transients() -> None:
     """Zero the transient gauges and live set (between steps/experiments)."""
-    current_g, peak_g = _transient_gauges()
     with _TRANSIENT_LOCK:
         _TRANSIENT_LIVE.clear()
-        current_g.set(0.0)
-        peak_g.set(0.0)
+        _TRANSIENT_BYTES.set(0.0)
+        _PEAK_TRANSIENT_BYTES.set(0.0)
         _CURRENT[TRANSIENT] = 0
 
 

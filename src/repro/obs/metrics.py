@@ -27,10 +27,12 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "get_registry",
+    "label_key",
 ]
 
 
-def _label_key(labels: dict[str, Any]) -> str:
+def label_key(labels: dict[str, Any]) -> str:
+    """The key a label set is stored under (``"k1=v1,k2=v2"``, sorted)."""
     return ",".join(f"{k}={labels[k]}" for k in sorted(labels))
 
 
@@ -48,14 +50,18 @@ class Counter:
 
     def inc(self, amount: float = 1.0, **labels: Any) -> None:
         if labels:
-            key = _label_key(labels)
-            self._labeled[key] = self._labeled.get(key, 0.0) + amount
+            self.inc_key(label_key(labels), amount)
         else:
             self._value += amount
 
+    def inc_key(self, key: str, amount: float) -> None:
+        """:meth:`inc` under a label key precomputed with :func:`label_key`
+        (hot paths that always use the same labels)."""
+        self._labeled[key] = self._labeled.get(key, 0.0) + amount
+
     def value(self, **labels: Any) -> float:
         if labels:
-            return self._labeled.get(_label_key(labels), 0.0)
+            return self._labeled.get(label_key(labels), 0.0)
         return self._value
 
     def reset(self) -> None:
@@ -80,7 +86,7 @@ class Gauge(Counter):
 
     def set(self, value: float, **labels: Any) -> None:
         if labels:
-            self._labeled[_label_key(labels)] = value
+            self._labeled[label_key(labels)] = value
         else:
             self._value = value
 
@@ -121,7 +127,7 @@ class Histogram:
         self._samples: dict[str, list[float]] = {}
 
     def observe(self, value: float, **labels: Any) -> None:
-        key = _label_key(labels)
+        key = label_key(labels)
         s = self._stats.get(key)
         if s is None:
             self._stats[key] = {
@@ -150,7 +156,7 @@ class Histogram:
         return out
 
     def stats(self, **labels: Any) -> dict[str, float]:
-        return self._with_percentiles(_label_key(labels))
+        return self._with_percentiles(label_key(labels))
 
     def reset(self) -> None:
         self._stats.clear()

@@ -15,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.topology.hardware import LinkSpec, NodeSpec, a800_node
 
@@ -74,15 +75,29 @@ class ClusterTopology:
 
     # --- link queries -------------------------------------------------------
 
+    @cached_property
+    def _links(self) -> tuple[tuple[LinkClass, ...], ...]:
+        """``_links[src][dst]`` for every rank pair, built on first use
+        (the topology is frozen, so it never goes stale)."""
+        g = self.gpus_per_node
+        ranks = range(self.world_size)
+        return tuple(
+            tuple(
+                LinkClass.LOCAL if src == dst
+                else LinkClass.INTRA if src // g == dst // g
+                else LinkClass.INTER
+                for dst in ranks
+            )
+            for src in ranks
+        )
+
     def link_class(self, src: int, dst: int) -> LinkClass:
         """Classify the connection between two global ranks."""
-        self._check_rank(src)
-        self._check_rank(dst)
-        if src == dst:
-            return LinkClass.LOCAL
-        if self.node_of(src) == self.node_of(dst):
-            return LinkClass.INTRA
-        return LinkClass.INTER
+        links = self._links
+        if not (0 <= src < len(links) and 0 <= dst < len(links)):
+            self._check_rank(src)
+            self._check_rank(dst)
+        return links[src][dst]
 
     def link_spec(self, cls: LinkClass) -> LinkSpec:
         if cls is LinkClass.INTRA:

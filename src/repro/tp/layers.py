@@ -19,11 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.comm import SimCommunicator
-from repro.kernels import (
-    TilePlan,
-    get_backend,
-    planning_enabled,
-)
+from repro.kernels import get_backend, resolve_tiles
 from repro.masks import MaskPattern
 from repro.nn.function import Function
 from repro.nn.tensor import Tensor
@@ -131,18 +127,13 @@ class TPAttentionFn(Function):
         hh = n_heads // g
         if scale is None:
             scale = 1.0 / np.sqrt(hd)
-        # TP ranks all see the full sequence, so one plan (built without
-        # bias — this path has never forwarded one) serves every head
-        # group; with planning off, fall back to the dense mask.
-        if mask is not None and planning_enabled():
-            dense = None
-            plan = TilePlan.build(
-                mask, np.arange(s), np.arange(s), block_size, block_size,
-                include_bias=False,
-            )
-        else:
-            dense = mask.dense(s) if mask is not None else None
-            plan = None
+        # TP ranks all see the full sequence, so one plan (without bias —
+        # this path has never forwarded one) serves every head group; with
+        # planning off, the dense mask does.
+        _, plan, dense, _ = resolve_tiles(
+            mask, np.arange(s), np.arange(s), block_size,
+            include_bias=False, allow_skip=False,
+        )
         self.comm, self.phase, self.g = comm, phase, g
         self.geom = (s, d, n_heads, hd, hh, scale, block_size)
         self.mask_dense = dense

@@ -155,6 +155,33 @@ class TestBitwiseIdentity:
             counted(get_backend("threaded"))
 
 
+class TestLabeledTileCounts:
+    """Each backend's tile counts also land under ``backend=<name>``;
+    the labeled values must equal the unlabeled deltas."""
+
+    @pytest.mark.parametrize("name", ["reference", "threaded"])
+    def test_labeled_counts_equal_unlabeled(self, name):
+        from repro.kernels import resolve_tiles
+        from repro.kernels.tileplan import _TILE_FIELDS
+        from repro.obs.metrics import get_registry
+
+        rng = np.random.default_rng(4)
+        q, k, v, do = _qkvdo(rng, 2, 96, 8)
+        idx = np.arange(96)
+        mask = ALiBiMask(n_heads=2)
+        _, plan, _, _ = resolve_tiles(mask, idx, idx, 32)
+        counters.reset()
+        _run_flash(get_backend(name), q, k, v, do, plan=plan)
+        _run_flash(get_backend(name), q, k, v, do, plan=plan)
+        registry = get_registry()
+        other = "threaded" if name == "reference" else "reference"
+        for field in _TILE_FIELDS:
+            metric = registry.counter(f"tileplan.{field}")
+            assert metric.value(backend=name) == metric.value(), field
+            assert metric.value(backend=other) == 0, field
+        assert counters.skipped_empty > 0 and counters.bias_tiles_reused > 0
+
+
 class TestSpanLabels:
     def test_kernel_spans_carry_backend_and_report_groups_them(self):
         rng = np.random.default_rng(3)

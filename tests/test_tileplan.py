@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.attention.ring import _resolve_tiles
 from repro.kernels import (
     EMPTY,
     FULL,
@@ -27,6 +26,7 @@ from repro.kernels import (
     counters,
     flash_attention_backward,
     flash_attention_forward,
+    resolve_tiles,
     use_planning,
 )
 from repro.masks import (
@@ -260,9 +260,9 @@ class TestSkipAccounting:
         idx_q = np.arange(32)
         idx_k = np.arange(16)
         with use_planning(False):
-            skip, plan, tile, bias = _resolve_tiles(mask, idx_q, idx_k, 8)
+            skip, plan, tile, bias = resolve_tiles(mask, idx_q, idx_k, 8)
             assert plan is None and tile is not None
-        skip, plan, tile, bias = _resolve_tiles(mask, idx_q, idx_k, 8)
+        skip, plan, tile, bias = resolve_tiles(mask, idx_q, idx_k, 8)
         assert plan is not None and tile is None
 
 
@@ -357,3 +357,214 @@ class TestTilePlanInvariants:
         report = check_tile_plan_invariants(seq_len=192, block_q=24,
                                             block_k=48)
         assert report.passed, report.summary()
+
+
+def _shard_pairs(g=4, n=32):
+    """Every (query-shard, key-shard) index pair of a contiguous
+    partition (the upper triangle is skipped under causal masking)."""
+    from repro.partition import ContiguousPartitioner
+
+    idxs = ContiguousPartitioner().indices(n, g)
+    return [(idxs[i], idxs[j]) for i in range(g) for j in range(g)]
+
+
+class TestResolverCache:
+    """``resolve_tiles`` builds each shard pair's plan once per pattern
+    object and reuses it; every distinguishing input gets its own entry."""
+
+    def test_same_inputs_reuse_one_plan(self):
+        mask, idx = CausalMask(), np.arange(32)
+        _, plan, _, _ = resolve_tiles(mask, idx, idx, 8)
+        _, again, _, _ = resolve_tiles(mask, idx.copy(), np.arange(32), 8)
+        assert again is plan
+
+    @pytest.mark.parametrize("change", [
+        "pattern", "contents", "block", "include_bias", "head_slice",
+    ])
+    def test_each_key_component_gets_its_own_entry(self, change):
+        mask, idx = ALiBiMask(4), np.arange(32)
+        base = dict(include_bias=True, head_slice=slice(0, 2))
+        _, plan, _, _ = resolve_tiles(mask, idx, idx, 8, **base)
+        args = [mask, idx, idx, 8]
+        kw = dict(base)
+        if change == "pattern":
+            args[0] = ALiBiMask(4)  # equal parameters, distinct object
+        elif change == "contents":
+            args[2] = np.arange(32, 64)  # same length, other tokens
+        elif change == "block":
+            args[3] = 16
+        elif change == "include_bias":
+            kw["include_bias"] = False
+        else:
+            kw["head_slice"] = slice(2, 4)
+        _, other, _, _ = resolve_tiles(*args, **kw)
+        assert other is not plan
+        _, again, _, _ = resolve_tiles(mask, idx, idx, 8, **base)
+        assert again is plan
+
+    def test_head_slices_select_their_heads_of_one_bias(self):
+        mask, idx = ALiBiMask(4), np.arange(16)
+        full = mask.bias_block(idx, idx)
+        for h0 in (0, 2):
+            _, plan, _, _ = resolve_tiles(
+                mask, idx, idx, 16, head_slice=slice(h0, h0 + 2)
+            )
+            ((_, _, edits),) = plan.runs[0]
+            np.testing.assert_array_equal(edits[0][3], full[h0:h0 + 2])
+
+    def test_dropping_the_pattern_frees_its_entries(self):
+        import gc
+        import weakref
+
+        from repro.kernels import tileplan
+
+        mask, idx = SlidingWindowMask(6), np.arange(32)
+        _, plan, _, _ = resolve_tiles(mask, idx, idx, 8)
+        plan_ref, mask_ref = weakref.ref(plan), weakref.ref(mask)
+        key = id(mask)
+        assert key in tileplan._RESOLVED
+        del mask, plan
+        gc.collect()
+        assert mask_ref() is None, "a cached plan must not pin its pattern"
+        assert plan_ref() is None
+        assert key not in tileplan._RESOLVED
+
+    @pytest.mark.parametrize("make_mask", [
+        CausalMask, lambda: ALiBiMask(2), lambda: SlidingWindowMask(6),
+    ], ids=["causal", "alibi", "window"])
+    def test_cached_resolution_counts_exactly_like_a_fresh_one(
+        self, make_mask
+    ):
+        """Fresh (first) and cached (second) resolutions of every shard
+        pair — skipped pairs included — add identical counter deltas,
+        through the resolver and the kernel alike."""
+        mask = make_mask()
+        rng = np.random.default_rng(0)
+        q, k, v, do = (rng.normal(size=(2, 8, 4)) for _ in range(4))
+
+        def one_pass():
+            counters.reset()
+            skipped = 0
+            for q_idx, k_idx in _shard_pairs():
+                skip, plan, _, _ = resolve_tiles(mask, q_idx, k_idx, 4)
+                if skip:
+                    skipped += 1
+                    continue
+                o, lse = flash_attention_forward(q, k, v, plan=plan)
+                flash_attention_backward(q, k, v, o, lse, do, plan=plan)
+            return skipped, counters.snapshot()
+
+        fresh = one_pass()
+        cached = one_pass()
+        assert cached == fresh
+        assert fresh[0] > 0, "some shard pairs must be skipped"
+        # ... and both equal the census of uncached plans: once for a
+        # skipped pair, once per kernel call (fwd + bwd) otherwise.
+        expected = np.zeros(5, dtype=np.int64)
+        for q_idx, k_idx in _shard_pairs():
+            census = TilePlan.build(mask, q_idx, k_idx, 4, 4).census[:5]
+            skipped = mask.tile_state(q_idx, k_idx) == "empty"
+            expected += (1 if skipped else 2) * np.array(census)
+        fields = ("computed_full", "computed_partial", "skipped_empty",
+                  "computed_pairs", "skipped_pairs")
+        assert [fresh[1][f] for f in fields] == expected.tolist()
+
+    def test_caller_edits_do_not_reach_a_cached_plan(self):
+        mask = CausalMask()
+        q_idx, k_idx = np.arange(16), np.arange(16)
+        _, plan, _, _ = resolve_tiles(mask, q_idx, k_idx, 8)
+        q_idx[:] = 100
+        assert plan.q_idx[0] == 0 and not plan.q_idx.flags.writeable
+        assert not plan.states.flags.writeable
+
+
+class TestMaskImmutability:
+    def test_block_sparse_mask_copies_and_freezes_its_matrix(self):
+        bm = np.tril(np.ones((4, 4), dtype=bool))
+        mask = BlockSparseMask(8, bm)
+        idx = np.arange(32)
+        before = mask.block(idx, idx).copy()
+        bm[:] = False  # a later edit of the caller's array
+        np.testing.assert_array_equal(mask.block(idx, idx), before)
+        assert not mask.block_mask.flags.writeable
+
+    def test_alibi_slopes_are_read_only(self):
+        mask = ALiBiMask(4)
+        with pytest.raises(ValueError):
+            mask.slopes[0] = 0.0
+
+
+def _engine_case(method, mask_name, seq=32, heads=4):
+    from repro.engine import BurstEngine, EngineConfig
+    from repro.nn import TransformerConfig
+    from repro.topology import a800_node, make_cluster
+
+    mask = {
+        "causal": CausalMask(),
+        "alibi": ALiBiMask(heads),
+        "window": SlidingWindowMask(6),
+    }[mask_name]
+    kwargs = {"block_size": 4}
+    if method == "burst-bidir":
+        method, kwargs["ring_mode"] = "burst", "bidirectional"
+    model = TransformerConfig(
+        vocab_size=31, dim=16, n_layers=2, n_heads=heads, ffn_hidden=24,
+        max_seq_len=seq, attn_block_size=4, seed=3, mask=mask,
+    )
+    engine = BurstEngine(
+        EngineConfig(model=model, method=method, method_kwargs=kwargs),
+        topology=make_cluster(4, node=a800_node(gpus_per_node=2)),
+    )
+    return engine, mask
+
+
+class TestStepsReusePlans:
+    """After the first training step every shard pair's plan comes from
+    the cache, and each later step accounts exactly what step 1 did."""
+
+    @pytest.mark.parametrize("mask_name", ["causal", "alibi", "window"])
+    @pytest.mark.parametrize("method", [
+        "burst", "burst-bidir", "megatron-cp", "loongtrain-double", "ulysses",
+    ])
+    def test_steps_two_and_three_build_nothing(
+        self, method, mask_name, monkeypatch
+    ):
+        from repro.obs.mem import use_memory_timeline
+
+        engine, mask = _engine_case(method, mask_name)
+        calls = {"build": 0, "tile_state": 0}
+        build = TilePlan.build.__func__
+        tile_state = mask.tile_state
+
+        def counting_build(cls, *args, **kwargs):
+            calls["build"] += 1
+            return build(cls, *args, **kwargs)
+
+        def counting_tile_state(*args):
+            calls["tile_state"] += 1
+            return tile_state(*args)
+
+        monkeypatch.setattr(TilePlan, "build", classmethod(counting_build))
+        monkeypatch.setattr(mask, "tile_state", counting_tile_state)
+        rng = np.random.default_rng(0)
+        steps = []
+        for _ in range(3):
+            ids = rng.integers(0, 31, 32)
+            before = dict(calls)
+            counters.reset()
+            with use_memory_timeline() as timeline:
+                engine.train_step(ids, np.roll(ids, -1))
+            scratch = sorted(
+                (e.site, e.kind, e.delta) for e in timeline.events()
+                if e.series == "transient" and e.site.startswith("flash.")
+            )
+            steps.append((
+                {n: calls[n] - before[n] for n in calls},
+                counters.snapshot(), scratch,
+            ))
+        assert steps[0][0]["build"] > 0
+        assert steps[0][1]["tiles_computed"] > 0 and steps[0][2]
+        for made, snap, scratch in steps[1:]:
+            assert made == {"build": 0, "tile_state": 0}
+            assert snap == steps[0][1]
+            assert scratch == steps[0][2]
